@@ -180,28 +180,6 @@ func BenchmarkPeelOnce(b *testing.B) {
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
-// benchPeelEngine drives the same unit-weight multi-block detection through
-// a chosen peeling engine. Unit weights (AvgDegree) make the priorities
-// integer, which is the bucket queue's domain; ForceHeap pins the heap on
-// the identical input so the two benchmarks differ only in the engine.
-func benchPeelEngine(b *testing.B, forceHeap bool) {
-	b.Helper()
-	g := benchGraph(b)
-	opts := fdet.Options{FixedK: 8, Metric: density.AvgDegree{}, ForceHeap: forceHeap}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fdet.Detect(g, opts)
-	}
-}
-
-// BenchmarkPeelBucketQueue and BenchmarkPeelHeap are the side-by-side for
-// the O(E) bucket peeler vs the O(E log V) heap on the integer-priority
-// path; their results are byte-identical (see internal/fdet's equivalence
-// tests), so the pair measures pure data-structure cost.
-func BenchmarkPeelBucketQueue(b *testing.B) { benchPeelEngine(b, false) }
-func BenchmarkPeelHeap(b *testing.B)        { benchPeelEngine(b, true) }
-
 // BenchmarkEnsembleN80 is the paper's main setting (RES, N=80, S=0.1) and
 // the PR-over-PR allocation regression guard: the ensemble hot path is meant
 // to be allocation-free after arena warm-up, so allocs/op here must stay

@@ -52,12 +52,6 @@ type Options struct {
 	// graph) before truncating. Used by tests to validate the early-stop
 	// heuristic against the exhaustive result.
 	DisableEarlyStop bool
-	// ForceHeap pins deletion to the float-priority index heap even when
-	// every merchant weight is 1 and the O(E) bucket queue would apply. The
-	// result is byte-identical either way — both engines delete in the same
-	// (priority, id) total order — so this exists purely for the
-	// bucket-vs-heap equivalence tests and side-by-side benchmarks.
-	ForceHeap bool
 }
 
 // DefaultMaxBlocks bounds the number of peeling rounds. The paper observes
@@ -163,15 +157,21 @@ func (s *Scratch) Detect(g *bipartite.Graph, opts Options) Result {
 	if lookahead <= 0 {
 		lookahead = DefaultLookahead
 	}
-	metric := opts.Metric
-	if metric == nil {
-		metric = density.Default()
-	}
 	if opts.FixedK > 0 {
 		maxBlocks = opts.FixedK
 	}
+	// Weights default to the metric's on g (allocating); hot-path callers
+	// pass frozen weights.
+	weights := opts.MerchantWeights
+	if weights == nil {
+		metric := opts.Metric
+		if metric == nil {
+			metric = density.Default()
+		}
+		weights = metric.MerchantWeights(g)
+	}
 
-	s.p.reset(g, metric, opts.MerchantWeights, opts.ForceHeap)
+	s.p.reset(g, weights)
 	refs := s.refs[:0]
 	scores := s.scoreBuf[:0]
 	for len(refs) < maxBlocks && s.p.aliveEdges > 0 {
@@ -257,7 +257,7 @@ func Peel(g *bipartite.Graph, metric density.Metric) (Block, bool) {
 		metric = density.Default()
 	}
 	var p peeler
-	p.reset(g, metric, nil, false)
+	p.reset(g, metric.MerchantWeights(g))
 	ref, ok := p.peelOnce()
 	if !ok {
 		return Block{}, false

@@ -3,6 +3,7 @@ package fdet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +35,12 @@ func plantedGraph(seed int64, bgUsers, bgMerchants, bgEdges, numBlocks, blockUse
 		blockUserIDs = append(blockUserIDs, ids)
 	}
 	return b.Build(), blockUserIDs
+}
+
+// biclique is the full a×b graph: one planted block and no background.
+func biclique(a, b int) *bipartite.Graph {
+	g, _ := plantedGraph(0, 0, 0, 0, 1, a, b)
+	return g
 }
 
 func TestPeelFindsPlantedBlock(t *testing.T) {
@@ -319,5 +326,70 @@ func TestDetectAvgDegreeMetric(t *testing.T) {
 	}
 	if hits < len(planted[0])/2 {
 		t.Errorf("avg-degree metric recovered %d/%d planted users", hits, len(planted[0]))
+	}
+
+	// Explicit all-ones weights are the same detection, bit for bit.
+	ones := make([]float64, g.NumMerchants())
+	for i := range ones {
+		ones[i] = 1
+	}
+	if got, want := resultDigest(Detect(g, Options{MerchantWeights: ones})), resultDigest(res); got != want {
+		t.Errorf("all-ones MerchantWeights digest %s, AvgDegree metric %s", got, want)
+	}
+}
+
+// TestPeelerAllEqualPrioritiesPinsTieBreak pins the raw deletion order on a
+// graph whose nodes all start at the same priority: the 3×3 biclique. Every
+// pop must take the lowest id among minimum-priority nodes, giving exactly
+// this interleaving (users are ids 0..2, merchants ids 3..5):
+//
+//	pop u0@3 → merchants drop to 2 → pop m0@2 → u1,u2 drop to 2 →
+//	pop u1@2 → m1,m2 drop to 1 → pop m1@1 → u2 drops to 1 →
+//	pop u2@1 → m2 drops to 0 → pop m2@0.
+func TestPeelerAllEqualPrioritiesPinsTieBreak(t *testing.T) {
+	g := biclique(3, 3)
+	var p peeler
+	p.reset(g, density.AvgDegree{}.MerchantWeights(g))
+	if _, ok := p.peelOnce(); !ok {
+		t.Fatal("peelOnce found nothing")
+	}
+	if want := []int32{0, 3, 1, 4, 2, 5}; !slices.Equal(p.order, want) {
+		t.Fatalf("deletion order %v, want %v", p.order, want)
+	}
+}
+
+// TestDetectDegenerateInputs covers the peeler edge cases under unit
+// weights, where every score is exact: empty graph, a single edge, and a
+// graph that empties entirely in round one.
+func TestDetectDegenerateInputs(t *testing.T) {
+	opts := Options{Metric: density.AvgDegree{}}
+
+	// Empty graph: no blocks, no scores.
+	empty := Detect(bipartite.NewBuilder().Build(), opts)
+	if len(empty.Blocks) != 0 || len(empty.Scores) != 0 || empty.TruncatedAt != 0 {
+		t.Fatalf("empty graph detected %+v", empty)
+	}
+
+	// Single edge: one block holding both endpoints, φ = 1/2.
+	res := Detect(biclique(1, 1), opts)
+	if len(res.Blocks) != 1 {
+		t.Fatalf("single edge gave %d blocks", len(res.Blocks))
+	}
+	blk := res.Blocks[0]
+	if !slices.Equal(blk.Users, []uint32{0}) || !slices.Equal(blk.Merchants, []uint32{0}) || blk.Score != 0.5 {
+		t.Fatalf("single-edge block = %+v, want users [0], merchants [0], score 0.5", blk)
+	}
+
+	// Complete biclique: round one consumes the whole graph (the best
+	// suffix is the intact graph, and removing its edges empties it), so
+	// detection must stop after one block even when asked for more.
+	opts.FixedK = 5
+	res = Detect(biclique(4, 4), opts)
+	if len(res.Blocks) != 1 {
+		t.Fatalf("biclique gave %d blocks, want 1", len(res.Blocks))
+	}
+	blk = res.Blocks[0]
+	if len(blk.Users) != 4 || len(blk.Merchants) != 4 || blk.Score != 2 { // 16 edges / 8 nodes
+		t.Fatalf("biclique block %dx%d score %v, want 4x4 score 2", len(blk.Users), len(blk.Merchants), blk.Score)
 	}
 }

@@ -2,8 +2,6 @@ package fdet
 
 import (
 	"ensemfdet/internal/bipartite"
-	"ensemfdet/internal/bucketq"
-	"ensemfdet/internal/density"
 	"ensemfdet/internal/indexheap"
 	"ensemfdet/internal/scratch"
 )
@@ -41,20 +39,10 @@ type peeler struct {
 	userPrio          []float64
 	userDeg, merchDeg []int32
 	heap              indexheap.Heap
-	bucket            bucketq.Queue
-	// unitWeights is true when every merchant weight is exactly 1.0 (the
-	// AvgDegree metric, or explicit all-unit weights). On that path node
-	// priorities are alive degrees — small non-negative integers whose
-	// float64 images are exact — so deletion runs on the O(E) bucket queue
-	// instead of the O(E log V) heap. forceHeap pins the heap anyway; it is
-	// the escape hatch the bucket-vs-heap equivalence tests and benchmarks
-	// are built on.
-	unitWeights  bool
-	forceHeap    bool
-	order        []int32
-	phis         []float64
-	inBlockUser  []bool
-	inBlockMerch []bool
+	order             []int32
+	phis              []float64
+	inBlockUser       []bool
+	inBlockMerch      []bool
 
 	// Backing storage for detected block memberships; blockRef ranges index
 	// into these. Materialized into []Block only when detection finishes,
@@ -71,21 +59,10 @@ type blockRef struct {
 	score        float64
 }
 
-// reset prepares the peeler to run FDET on g. Weights default to the
-// metric's weights on g (allocating); hot-path callers pass frozen weights.
-func (p *peeler) reset(g *bipartite.Graph, metric density.Metric, weights []float64, forceHeap bool) {
-	if weights == nil {
-		weights = metric.MerchantWeights(g)
-	}
+// reset prepares the peeler to run FDET on g under frozen per-merchant
+// weights (length NumMerchants of g).
+func (p *peeler) reset(g *bipartite.Graph, weights []float64) {
 	p.g, p.w = g, weights
-	p.forceHeap = forceHeap
-	p.unitWeights = true
-	for _, wv := range weights {
-		if wv != 1 {
-			p.unitWeights = false
-			break
-		}
-	}
 	e := g.NumEdges()
 	nu, nm := g.NumUsers(), g.NumMerchants()
 	alive := scratch.Grow(&p.edgeAlive, e)
@@ -220,19 +197,7 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 	// phis[0] is the intact alive graph (H_n in Algorithm 1). Neighbor
 	// scans need no liveness checks: every compacted entry is alive for the
 	// whole round (edges die only between rounds).
-	//
-	// Both engines delete in the same total order on (priority, id) — the
-	// minimum priority first, ties to the lowest id — and on unit weights
-	// every float priority is the exact float64 image of an alive degree, so
-	// the order/phis they record are byte-identical; which engine ran is
-	// unobservable in the result. The bucket queue makes the whole deletion
-	// sequence O(E); the heap path pays O(E log V) but accepts arbitrary
-	// float weights (the FRAUDAR column weighting of the default metric).
-	if p.unitWeights && !p.forceHeap {
-		p.deleteAllBucket(nu, nm, total, nodesAlive)
-	} else {
-		p.deleteAllHeap(nu, nm, total, nodesAlive)
-	}
+	p.deleteAll(nu, nm, total, nodesAlive)
 	order, phis := p.order, p.phis
 
 	// Best suffix: earliest argmax keeps the largest qualifying subgraph and
@@ -291,11 +256,11 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 	return ref, true
 }
 
-// deleteAllHeap runs the deletion sequence on the index heap: float
+// deleteAll runs the deletion sequence on the index heap: float
 // priorities, O(log V) per pop and per neighbor decrement. The heap is bulk
 // built (Floyd) — construction order cannot leak into the result because
 // pops follow the (priority, id) total order regardless of layout.
-func (p *peeler) deleteAllHeap(nu, nm int, total float64, nodesAlive int) {
+func (p *peeler) deleteAll(nu, nm int, total float64, nodesAlive int) {
 	h := &p.heap
 	h.Reset(nu + nm)
 	for u := 0; u < nu; u++ {
@@ -331,67 +296,6 @@ func (p *peeler) deleteAllHeap(nu, nm int, total float64, nodesAlive int) {
 			s, e := p.mOff[v], p.mOff[v+1]
 			for i := s; i < e; i++ {
 				h.AddIfPresent(int(p.mAdj[i]), -wv)
-			}
-		}
-		if left > 0 {
-			phis = append(phis, total/float64(left))
-		} else {
-			phis = append(phis, 0)
-		}
-	}
-	p.order, p.phis = order, phis
-}
-
-// deleteAllBucket runs the deletion sequence on the bucket queue: integer
-// alive-degree priorities, O(1) amortized pops and decrements. Seeding
-// pushes ids in descending order so every push is an O(1) head insert, and
-// the subtraction `total -= float64(prio)` subtracts exactly the float the
-// heap path would have (a sum of 1.0s is the exact float64 image of the
-// degree), keeping phis bitwise identical across engines.
-func (p *peeler) deleteAllBucket(nu, nm int, total float64, nodesAlive int) {
-	maxDeg := int32(0)
-	for _, d := range p.userDeg[:nu] {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	for _, d := range p.merchDeg[:nm] {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	q := &p.bucket
-	q.Reset(nu+nm, int(maxDeg))
-	for v := nm - 1; v >= 0; v-- {
-		if d := p.merchDeg[v]; d > 0 {
-			q.Push(int32(nu+v), d)
-		}
-	}
-	for u := nu - 1; u >= 0; u-- {
-		if d := p.userDeg[u]; d > 0 {
-			q.Push(int32(u), d)
-		}
-	}
-
-	order := p.order[:0]
-	phis := p.phis[:0]
-	phis = append(phis, total/float64(nodesAlive))
-	left := nodesAlive
-	for q.Len() > 0 {
-		id, prio := q.PopMin()
-		order = append(order, id)
-		total -= float64(prio)
-		left--
-		if int(id) < nu {
-			s, e := p.uOff[id], p.uOff[id+1]
-			for i := s; i < e; i++ {
-				q.DecIfPresent(int32(nu) + int32(p.uAdj[i]))
-			}
-		} else {
-			v := int(id) - nu
-			s, e := p.mOff[v], p.mOff[v+1]
-			for i := s; i < e; i++ {
-				q.DecIfPresent(int32(p.mAdj[i]))
 			}
 		}
 		if left > 0 {

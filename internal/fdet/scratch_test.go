@@ -46,24 +46,29 @@ func TestUnionIDsSortedProperty(t *testing.T) {
 	}
 }
 
-func sameResult(t *testing.T, tag string, a, b Result) {
-	t.Helper()
-	if a.TruncatedAt != b.TruncatedAt {
-		t.Errorf("%s: kˆ %d != %d", tag, a.TruncatedAt, b.TruncatedAt)
-	}
-	if !reflect.DeepEqual(a.Scores, b.Scores) {
-		t.Errorf("%s: scores differ: %v vs %v", tag, a.Scores, b.Scores)
-	}
-	if len(a.Blocks) != len(b.Blocks) {
-		t.Fatalf("%s: block counts differ: %d vs %d", tag, len(a.Blocks), len(b.Blocks))
-	}
-	for i := range a.Blocks {
-		if a.Blocks[i].Score != b.Blocks[i].Score ||
-			!reflect.DeepEqual(a.Blocks[i].Users, b.Blocks[i].Users) ||
-			!reflect.DeepEqual(a.Blocks[i].Merchants, b.Blocks[i].Merchants) {
-			t.Errorf("%s: block %d differs", tag, i)
-		}
-	}
+// detectShapes are the plantedGraph arguments, and detectVariants the option
+// sets, that the scratch-reuse test and the golden table both run.
+var detectShapes = []struct {
+	seed                              int64
+	bgU, bgM, bgE, blocks, blkU, blkM int
+}{
+	{1, 300, 300, 700, 3, 8, 8},
+	{2, 40, 40, 90, 1, 4, 4}, // shrink
+	{3, 500, 450, 1200, 2, 10, 10},
+	{4, 10, 10, 15, 1, 3, 3}, // shrink hard
+	{5, 200, 260, 500, 2, 6, 6},
+}
+
+var detectVariants = []struct {
+	name string
+	opts Options
+}{
+	{"default", Options{}},
+	{"fixedk", Options{FixedK: 5}},
+	{"exhaustive", Options{DisableEarlyStop: true, MaxBlocks: 12}},
+	{"avgdeg", Options{Metric: density.AvgDegree{}}},
+	{"avgdeg-fixedk", Options{Metric: density.AvgDegree{}, FixedK: 5}},
+	{"avgdeg-exhaustive", Options{Metric: density.AvgDegree{}, DisableEarlyStop: true, MaxBlocks: 12}},
 }
 
 // TestScratchDetectMatchesDetect reuses one Scratch across many graphs of
@@ -72,28 +77,13 @@ func sameResult(t *testing.T, tag string, a, b Result) {
 // stale buffer tails must never leak into a later detection.
 func TestScratchDetectMatchesDetect(t *testing.T) {
 	s := NewScratch()
-	shapes := []struct {
-		seed                              int64
-		bgU, bgM, bgE, blocks, blkU, blkM int
-	}{
-		{1, 300, 300, 700, 3, 8, 8},
-		{2, 40, 40, 90, 1, 4, 4}, // shrink
-		{3, 500, 450, 1200, 2, 10, 10},
-		{4, 10, 10, 15, 1, 3, 3}, // shrink hard
-		{5, 200, 260, 500, 2, 6, 6},
-	}
-	optVariants := []Options{
-		{},
-		{FixedK: 5},
-		{DisableEarlyStop: true, MaxBlocks: 12},
-		{Metric: density.AvgDegree{}},
-	}
-	for _, sh := range shapes {
+	for _, sh := range detectShapes {
 		g, _ := plantedGraph(sh.seed, sh.bgU, sh.bgM, sh.bgE, sh.blocks, sh.blkU, sh.blkM)
-		for _, opts := range optVariants {
-			got := s.Detect(g, opts)
-			want := Detect(g, opts)
-			sameResult(t, g.String(), got, want)
+		for _, v := range detectVariants {
+			got, want := s.Detect(g, v.opts), Detect(g, v.opts)
+			if resultDigest(got) != resultDigest(want) {
+				t.Errorf("%s %s: scratch result\n%+v\nfresh result\n%+v", g, v.name, got, want)
+			}
 		}
 	}
 }

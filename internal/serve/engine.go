@@ -292,7 +292,7 @@ type Engine struct {
 
 	// peelRounds totals the peeling rounds executed by completed ensemble
 	// runs (cache hits and reused incremental samples add nothing): the
-	// detect-path work metric the bucket peeler optimizes.
+	// detect path's unit of work.
 	peelRounds atomic.Uint64
 
 	// win is the source's windowing seam (nil when the Snapshotter cannot
