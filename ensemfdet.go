@@ -22,7 +22,6 @@
 package ensemfdet
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,8 +31,6 @@ import (
 	"ensemfdet/internal/core"
 	"ensemfdet/internal/density"
 	"ensemfdet/internal/fdet"
-	"ensemfdet/internal/persist"
-	"ensemfdet/internal/replicate"
 	"ensemfdet/internal/sampling"
 	"ensemfdet/internal/serve"
 	"ensemfdet/internal/stream"
@@ -94,6 +91,12 @@ func ReadEdgesFile(path string, maxID uint32) ([]Edge, error) {
 	defer f.Close()
 	return bipartite.ReadEdgesMax(f, maxID)
 }
+
+// ErrNodeIDRange tags errors caused by a node id above a configured bound —
+// distinct from parse or I/O failures, so callers know raising the bound
+// (not fixing the file) is the remedy. ReadEdgesFile, ReadGraphFileMax, and
+// DetectEngine.Ingest all wrap it.
+var ErrNodeIDRange = bipartite.ErrIDRange
 
 // WriteGraph writes g as a text edge list.
 func WriteGraph(w io.Writer, g *Graph) error { return bipartite.WriteEdgeList(w, g) }
@@ -356,150 +359,3 @@ func NewHTTPHandlerWith(e *DetectEngine, cfg HTTPHandlerConfig) http.Handler {
 // ReplStats is the replication section of EngineStats (/v1/stats "repl"),
 // populated via DetectEngine.AttachRepl.
 type ReplStats = serve.ReplStats
-
-// --- durability layer ---
-
-// ErrNodeIDRange tags errors caused by a node id above a configured bound —
-// distinct from parse or I/O failures, so callers know raising the bound
-// (not fixing the file) is the remedy. ReadEdgesFile, ReadGraphFileMax, and
-// DetectEngine.Ingest all wrap it.
-var ErrNodeIDRange = bipartite.ErrIDRange
-
-// PersistStore is the daemon's durability engine: a segmented, checksummed
-// write-ahead log of ingested edge batches plus binary CSR snapshots, with
-// boot-time recovery. Wire it as a StreamGraph's journal (SetJournal) and
-// snapshot source (SetSource); see cmd/ensemfdetd for the full lifecycle.
-type PersistStore = persist.Store
-
-// PersistOptions configures the store; the zero value fsyncs every batch
-// and snapshots every 16MB of WAL growth.
-type PersistOptions = persist.Options
-
-// PersistStats reports WAL and snapshot counters.
-type PersistStats = persist.Stats
-
-// RecoveryStats summarizes one boot-time recovery.
-type RecoveryStats = persist.RecoveryStats
-
-// FsyncPolicy selects when the WAL is flushed to stable storage.
-type FsyncPolicy = persist.FsyncPolicy
-
-// The WAL flush policies: FsyncAlways acknowledges a batch only after it is
-// on disk; FsyncNever trades that guarantee for page-cache-speed ingest.
-const (
-	FsyncAlways = persist.FsyncAlways
-	FsyncNever  = persist.FsyncNever
-)
-
-// ParseFsyncPolicy maps "always"/"never" (the -fsync flag values) to a
-// policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return persist.ParseFsyncPolicy(s) }
-
-// OpenPersist opens (creating if needed) the durability state under dir,
-// truncating a torn WAL tail from a previous crash with a logged warning.
-// Call Recover on the result to load the state into a StreamGraph.
-func OpenPersist(dir string, opts PersistOptions) (*PersistStore, error) {
-	return persist.Open(dir, opts)
-}
-
-// --- replication layer ---
-//
-// WAL-shipping replication turns one durable daemon into a primary that any
-// number of read-only followers track: the primary serves its snapshot +
-// WAL over HTTP (GET /v1/repl/..., behind -serve-replication), a follower
-// bootstraps from them and then tails the log continuously, applying each
-// record at its exact version so its graph — and therefore its votes — are
-// byte-identical to the primary's at every version. See cmd/ensemfdetd's
-// -follow flag for the daemon wiring.
-
-// ReplPrimary serves the replication shipping endpoints over a PersistStore.
-type ReplPrimary = replicate.Primary
-
-// ReplPrimaryConfig configures the shipping side.
-type ReplPrimaryConfig = replicate.PrimaryConfig
-
-// ReplPrimaryStats reports shipping counters.
-type ReplPrimaryStats = replicate.PrimaryStats
-
-// NewReplPrimary returns the shipping half; mount its Handler via
-// HTTPHandlerConfig.Repl.
-func NewReplPrimary(cfg ReplPrimaryConfig) *ReplPrimary { return replicate.NewPrimary(cfg) }
-
-// ReplFollower replicates a primary's state into a local StreamGraph.
-type ReplFollower = replicate.Follower
-
-// ReplFollowerConfig configures the tailing side.
-type ReplFollowerConfig = replicate.FollowerConfig
-
-// ReplFollowerStats reports lag and apply counters.
-type ReplFollowerStats = replicate.FollowerStats
-
-// NewReplFollower validates the primary URL and returns a follower ready to
-// Bootstrap and Run.
-func NewReplFollower(cfg ReplFollowerConfig) (*ReplFollower, error) {
-	return replicate.NewFollower(cfg)
-}
-
-// ReplNeedsBootstrap reports whether a follower data directory needs a fresh
-// download (no recoverable state, or an interrupted earlier bootstrap).
-func ReplNeedsBootstrap(dir string) bool { return replicate.NeedsBootstrap(dir) }
-
-// ReplDownloadInto ships the primary's snapshot and WAL segments into
-// dataDir so a normal OpenPersist + Recover reproduces the primary's durable
-// state. client and logf may be nil.
-func ReplDownloadInto(ctx context.Context, client *http.Client, primary, dataDir string, logf func(string, ...any)) error {
-	return replicate.DownloadInto(ctx, client, primary, dataDir, logf)
-}
-
-// --- failover layer ---
-//
-// Epoch-fenced failover promotes a follower to primary without a
-// coordinator: every durable node carries a monotonic epoch (term) number in
-// a fsynced fence file, in its snapshot headers, and as fence records in the
-// WAL. POST /v1/admin/promote on a follower stops its tail, fsyncs the next
-// epoch with write ownership, and starts serving ingest and replication;
-// every replication exchange carries the epoch both ways, so a deposed
-// primary observing a higher term durably drops write ownership (ingest
-// answers 409 naming the ruling epoch) and followers of the old timeline
-// converge onto the new one through an epoch-boundary resync. See the
-// README's Failover section for the runbook.
-
-// ReplNode is the failover role manager: a daemon node that starts as a
-// follower, can be promoted to primary at runtime, and can be re-pointed at
-// a different primary. Mount its ReplHandler and AdminHandler via
-// HTTPHandlerConfig.
-type ReplNode = replicate.Node
-
-// ReplNodeConfig wires a ReplNode's store, graph, and tuning.
-type ReplNodeConfig = replicate.NodeConfig
-
-// NewReplNode validates the wiring and returns a node with no role yet; call
-// Follow (or Promote/BecomePrimary) to give it one.
-func NewReplNode(cfg ReplNodeConfig) (*ReplNode, error) { return replicate.NewNode(cfg) }
-
-// EpochAction is the follower-side classification of a replication response
-// whose epoch differs from the local one; ClassifyEpoch computes it.
-type EpochAction = replicate.EpochAction
-
-// The possible classifications; see replicate.ClassifyEpoch.
-const (
-	EpochOK     = replicate.EpochOK
-	EpochStale  = replicate.EpochStale
-	EpochAdopt  = replicate.EpochAdopt
-	EpochResync = replicate.EpochResync
-)
-
-// ClassifyEpoch decides what a follower must do with a response from a node
-// in a different failover term.
-func ClassifyEpoch(localEpoch, respEpoch, localVersion, epochStart uint64) EpochAction {
-	return replicate.ClassifyEpoch(localEpoch, respEpoch, localVersion, epochStart)
-}
-
-// ErrWALDegraded tags ingest failures caused by a WAL that is rejecting
-// writes until a covering snapshot heals it — the HTTP layer maps it to 503
-// with Retry-After. ErrFenced tags writes rejected because the store's epoch
-// is owned by another primary (this node was deposed) — mapped to 409.
-var (
-	ErrWALDegraded = persist.ErrDegraded
-	ErrFenced      = persist.ErrFenced
-)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,6 +11,23 @@ import (
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/stream"
 )
+
+func getRaw(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	return raw
+}
 
 // TestWindowStatsAndMetricsOverHTTP boots the full handler over a windowed
 // graph and checks the window section of /v1/stats and the
