@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 const (
@@ -77,6 +78,10 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 	numEdges := cr.u64()
 	if cr.err == nil && (numUsers > uint64(MaxNodeID)+1 || numMerchants > uint64(MaxNodeID)+1) {
 		return nil, fmt.Errorf("bipartite: CSR snapshot declares %d users / %d merchants, beyond the id space", numUsers, numMerchants)
+	}
+	if cr.err == nil && numEdges > math.MaxInt {
+		// int(numEdges) would go negative and read no adjacency at all.
+		return nil, fmt.Errorf("bipartite: CSR snapshot declares %d edges, beyond an int", numEdges)
 	}
 	g := &Graph{
 		userOff:  cr.offsets(int(numUsers) + 1),

@@ -2,7 +2,9 @@ package bipartite
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -112,6 +114,20 @@ func TestCSRCodecBadHeader(t *testing.T) {
 	bad[4] = 99 // format version
 	if _, err := ReadCSR(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "format") {
 		t.Fatalf("bad format: %v", err)
+	}
+
+	// An empty graph whose edge count is patched past MaxInt, checksum
+	// recomputed: decoding it as an empty graph would not re-encode to the
+	// same bytes.
+	buf.Reset()
+	if err := WriteCSR(&buf, &Graph{}); err != nil {
+		t.Fatal(err)
+	}
+	bad = buf.Bytes()
+	binary.LittleEndian.PutUint64(bad[24:], 1<<63)
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], castagnoli))
+	if _, err := ReadCSR(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "edges") {
+		t.Fatalf("edge count beyond an int: %v", err)
 	}
 }
 

@@ -2,8 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,260 +10,77 @@ import (
 	"ensemfdet/internal/stream"
 )
 
-// writeLegacySnapshot hand-crafts a pre-epoch snapshot file exactly as PR 4
-// (format 1) and PR 5 (format 2) wrote them, so recovery is exercised
-// against real historical bytes rather than whatever the current writer
-// emits.
-func writeLegacySnapshot(t *testing.T, dir string, format uint32, g *bipartite.Graph, version uint64, mark stream.WindowMark, writtenAt int64) {
-	t.Helper()
-	hdrLen := 20
-	if format == snapFormatV2 {
-		hdrLen = 44
-	}
-	hdr := make([]byte, hdrLen+4)
-	copy(hdr, snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], format)
-	binary.LittleEndian.PutUint64(hdr[12:], version)
-	if format == snapFormatV2 {
-		binary.LittleEndian.PutUint64(hdr[20:], mark.Version)
-		binary.LittleEndian.PutUint64(hdr[28:], uint64(mark.Wall))
-		binary.LittleEndian.PutUint64(hdr[36:], uint64(writtenAt))
-	}
-	binary.LittleEndian.PutUint32(hdr[hdrLen:], crc32.Checksum(hdr[:hdrLen], castagnoli))
-	var buf bytes.Buffer
-	buf.Write(hdr)
-	if err := bipartite.WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath(filepath.Join(dir, "snap"), version), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // snapOf cuts g's current bipartite snapshot, discarding the version.
 func snapOf(g *stream.Graph) *bipartite.Graph {
 	s, _ := g.Snapshot()
 	return s
 }
 
-// encodeV1Frame frames one legacy (PR 4-era) WAL record: the v1 format knew
-// only edge batches and had no kind field.
-func encodeV1Frame(version uint64, edges []bipartite.Edge) []byte {
-	n := 12 + 8*len(edges)
-	b := make([]byte, walFrameBytes+n)
-	binary.LittleEndian.PutUint32(b, uint32(n))
-	payload := b[walFrameBytes:]
-	binary.LittleEndian.PutUint64(payload, version)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(len(edges)))
-	for i, e := range edges {
-		binary.LittleEndian.PutUint32(payload[12+8*i:], e.U)
-		binary.LittleEndian.PutUint32(payload[12+8*i+4:], e.V)
+// TestFencelessDirRecoveryAndPromote pins a data directory that no promote
+// or adopt ever touched — no fence file, no fence records: it recovers at
+// epoch 0 with ingest owned (the single-primary behaviour), its snapshot
+// plus a segment of edge batches and a tombstone replay byte-identically,
+// and the first promote on top of that history survives a reboot.
+func TestFencelessDirRecoveryAndPromote(t *testing.T) {
+	dir := t.TempDir()
+	batches := randomBatches(11, 8, 40)
+	st, g, _ := openDurable(t, dir, 4, Options{Fsync: FsyncNever})
+	for _, b := range batches[:5] {
+		g.Append(b)
 	}
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
-	return b
-}
-
-// TestMixedFormatRecoveryPreEpochDir is the acceptance-criteria pin for
-// format compatibility: a data dir assembled from pre-epoch artifacts — a
-// format-1 or format-2 snapshot, a magic-less v1 WAL segment, a v2 segment
-// with no fence records, and no fence file — must recover into the
-// epoch-aware store at epoch 0 with ingest owned (the single-primary
-// behaviour every pre-failover deployment ran under), byte-identical to an
-// in-memory replay, without rewriting the legacy files. Promotion must then
-// work on top of that history, and survive a reboot.
-func TestMixedFormatRecoveryPreEpochDir(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format uint32
-	}{
-		{"snapshotV1", snapFormatV1},
-		{"snapshotV2", snapFormatV2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			for _, sub := range []string{"snap", "wal"} {
-				if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// The reference run: what an uninterrupted pre-epoch primary held
-			// in memory after the same batches, retirement, and version bumps.
-			batches := randomBatches(11, 8, 40)
-			ref := stream.New()
-			for _, b := range batches[:5] {
-				ref.Append(b)
-			}
-			snapG, snapVer := ref.Snapshot()
-			if snapVer != 5 {
-				t.Fatalf("reference snapshot at version %d, want 5", snapVer)
-			}
-			writeLegacySnapshot(t, dir, tc.format, snapG, snapVer,
-				stream.WindowMark{Version: 3, Wall: 111}, 222)
-
-			// Segment 1: legacy v1 (no magic), versions 6-7.
-			var seg1 bytes.Buffer
-			seg1.Write(encodeV1Frame(6, batches[5]))
-			seg1.Write(encodeV1Frame(7, batches[6]))
-			seg1Path := segPath(filepath.Join(dir, "wal"), 1)
-			if err := os.WriteFile(seg1Path, seg1.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			// Segment 2: v2 framing, an edge batch then a tombstone — the
-			// full PR 5 repertoire, no epoch fences anywhere.
-			retired := batches[0][:5]
-			mark := stream.WindowMark{Version: 6, Wall: 333}
-			var seg2 bytes.Buffer
-			seg2.Write(walMagic[:])
-			var scratch []byte
-			seg2.Write(encodeRecord(&scratch, walRecord{version: 8, kind: recEdges, edges: batches[7]}))
-			seg2.Write(encodeRecord(&scratch, walRecord{version: 9, kind: recTombstone, mark: mark, edges: retired}))
-			if err := os.WriteFile(segPath(filepath.Join(dir, "wal"), 2), seg2.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, b := range batches[5:] {
-				ref.Append(b)
-			}
-			ref.Remove(retired)
-			ref.AdvanceMarkTo(mark)
-			ref.AdvanceVersionTo(9)
-
-			// Recover into a different shard layout than the reference, the
-			// way every crash-recovery pin in this package does.
-			st, g, rec := openDurable(t, dir, 3, Options{Fsync: FsyncNever})
-			if epoch, start, owned := st.Epoch(); epoch != 0 || start != 0 || !owned {
-				t.Fatalf("pre-epoch dir recovered to epoch %d start %d owned %v, want 0/0/owned", epoch, start, owned)
-			}
-			if rec.SnapshotVersion != 5 || rec.ReplayedRecords != 4 {
-				t.Fatalf("recovery stats %+v, want snapshot 5 and 4 replayed records", rec)
-			}
-			if g.Version() != 9 {
-				t.Fatalf("recovered version %d, want 9", g.Version())
-			}
-			if !bytes.Equal(csrBytes(t, snapOf(g)), csrBytes(t, snapOf(ref))) {
-				t.Fatal("recovered graph differs from the reference replay")
-			}
-
-			// "Without rewrite": the sealed legacy segment's bytes are
-			// untouched by recovery — epoch awareness cost the old files
-			// nothing.
-			after, err := os.ReadFile(seg1Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(after, seg1.Bytes()) {
-				t.Fatal("recovery rewrote the legacy v1 WAL segment")
-			}
-
-			// The epoch-aware store keeps serving the pre-epoch history:
-			// ingest continues, and a promotion layers the first fence on top.
-			ref.Append(batches[0])
-			if res := g.Append(batches[0]); res.Err != nil {
-				t.Fatalf("ingest on recovered pre-epoch store: %v", res.Err)
-			}
-			if g.Version() != 10 {
-				t.Fatalf("post-recovery ingest version %d, want 10", g.Version())
-			}
-			if err := st.PromoteEpoch(1, g.Version()+1); err != nil {
-				t.Fatalf("promoting on top of pre-epoch history: %v", err)
-			}
-			g.AdvanceVersionTo(g.Version() + 1)
-			ref.AdvanceVersionTo(11)
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// The reboot replays the fence record and fence file together.
-			st2, g2, _ := openDurable(t, dir, 2, Options{Fsync: FsyncNever})
-			defer st2.Close()
-			if epoch, start, owned := st2.Epoch(); epoch != 1 || start != 11 || !owned {
-				t.Fatalf("rebooted epoch %d start %d owned %v, want 1/11/owned", epoch, start, owned)
-			}
-			if g2.Version() != 11 {
-				t.Fatalf("rebooted version %d, want 11", g2.Version())
-			}
-			if !bytes.Equal(csrBytes(t, snapOf(g2)), csrBytes(t, snapOf(ref))) {
-				t.Fatal("rebooted graph differs from the reference replay")
-			}
-		})
+	if err := st.Snapshot(); err != nil { // version 5; the WAL restarts after it
+		t.Fatal(err)
 	}
-}
+	for _, b := range batches[5:] {
+		g.Append(b)
+	}
+	if res := g.Remove(batches[0][:5]); res.Err != nil || res.Removed == 0 || res.Version != 9 {
+		t.Fatalf("tombstone at version 9: %+v", res)
+	}
+	live := csrBytes(t, snapOf(g))
+	// Crash: no Close. Nothing has written a fence.
+	if _, err := os.Stat(filepath.Join(dir, fenceFileName)); !os.IsNotExist(err) {
+		t.Fatalf("fence file present before any promote: %v", err)
+	}
 
-// TestBitFlipsInWALPayloadAreRejected pins the checksum guarantee the fuzz
-// target probes at random: flipping any single bit of a frame's
-// CRC-protected region (the checksum itself, or the payload) makes both
-// decoders reject the frame — a corrupt record is never applied.
-func TestBitFlipsInWALPayloadAreRejected(t *testing.T) {
-	var scratch []byte
-	frames := [][]byte{
-		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 1, kind: recEdges, edges: edgesN(0, 3)})...),
-		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 2, kind: recTombstone, mark: stream.WindowMark{Version: 1, Wall: 99}, edges: edgesN(3, 2)})...),
-		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 3, kind: recEpochFence, epoch: 7})...),
-		encodeV1Frame(4, edgesN(0, 2)),
+	// Recover into a different shard layout, the way every crash-recovery
+	// pin in this package does.
+	st2, g2, rec := openDurable(t, dir, 3, Options{Fsync: FsyncNever})
+	if epoch, start, owned := st2.Epoch(); epoch != 0 || start != 0 || !owned {
+		t.Fatalf("fence-less dir recovered to epoch %d start %d owned %v, want 0/0/owned", epoch, start, owned)
 	}
-	for fi, frame := range frames {
-		for bit := 32; bit < 8*len(frame); bit++ { // skip the uncovered length word
-			mut := append([]byte(nil), frame...)
-			mut[bit/8] ^= 1 << (bit % 8)
-			if _, _, ok := decodeRecordV2(mut); ok && fi < 3 {
-				t.Fatalf("frame %d: v2 decoder accepted a flip at bit %d", fi, bit)
-			}
-			if _, _, ok := decodeRecordV1(mut); ok && fi == 3 {
-				t.Fatalf("frame %d: v1 decoder accepted a flip at bit %d", fi, bit)
-			}
-		}
+	if rec.SnapshotVersion != 5 || rec.ReplayedRecords != 4 || rec.ReplayedTombstones != 1 {
+		t.Fatalf("recovery stats %+v, want snapshot 5 and 4 replayed records, 1 a tombstone", rec)
 	}
-}
+	if g2.Version() != 9 {
+		t.Fatalf("recovered version %d, want 9", g2.Version())
+	}
+	if !bytes.Equal(csrBytes(t, snapOf(g2)), live) {
+		t.Fatal("recovered graph differs from the crashed run")
+	}
 
-// FuzzDecodeRecord hammers both WAL frame decoders with arbitrary bytes:
-// they must never panic, never accept a zero version or an edge-carrying
-// fence, never claim to have consumed more input than exists, and every
-// frame the v2 decoder does accept must re-encode byte-identically — so a
-// decode-modify cycle can never silently corrupt a segment.
-func FuzzDecodeRecord(f *testing.F) {
-	var scratch []byte
-	seeds := [][]byte{
-		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 1, kind: recEdges, edges: edgesN(0, 3)})...),
-		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 2, kind: recTombstone, mark: stream.WindowMark{Version: 5, Wall: 42}, edges: edgesN(4, 2)})...),
-		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 3, kind: recEpochFence, epoch: 9})...),
-		encodeV1Frame(4, edgesN(0, 2)),
+	// Ingest continues, and a promotion layers the first fence on top.
+	if res := g2.Append(batches[0]); res.Err != nil || res.Version != 10 {
+		t.Fatalf("ingest on the recovered store: %+v", res)
 	}
-	for _, s := range seeds {
-		f.Add(s)
-		torn := append([]byte(nil), s[:len(s)-3]...)
-		f.Add(torn)
-		flipped := append([]byte(nil), s...)
-		flipped[len(flipped)/2] ^= 0x40
-		f.Add(flipped)
+	if err := st2.PromoteEpoch(1, g2.Version()+1); err != nil {
+		t.Fatalf("promoting on top of fence-less history: %v", err)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if rec, n, ok := decodeRecordV2(data); ok {
-			if n <= 0 || n > len(data) {
-				t.Fatalf("v2 consumed %d of %d bytes", n, len(data))
-			}
-			if rec.version == 0 {
-				t.Fatal("v2 accepted a zero version")
-			}
-			if rec.kind == recEpochFence && len(rec.edges) != 0 {
-				t.Fatal("v2 accepted an edge-carrying fence")
-			}
-			var buf []byte
-			if !bytes.Equal(encodeRecord(&buf, rec), data[:n]) {
-				t.Fatal("v2 decode/encode round-trip is not byte-identical")
-			}
-		}
-		if rec, n, ok := decodeRecordV1(data); ok {
-			if n <= 0 || n > len(data) {
-				t.Fatalf("v1 consumed %d of %d bytes", n, len(data))
-			}
-			if rec.version == 0 {
-				t.Fatal("v1 accepted a zero version")
-			}
-			if rec.kind != recEdges {
-				t.Fatalf("v1 produced kind %d", rec.kind)
-			}
-		}
-	})
+	g2.AdvanceVersionTo(11)
+	want := csrBytes(t, snapOf(g2))
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st3, g3, _ := openDurable(t, dir, 2, Options{Fsync: FsyncNever})
+	defer st3.Close()
+	if epoch, start, owned := st3.Epoch(); epoch != 1 || start != 11 || !owned {
+		t.Fatalf("rebooted epoch %d start %d owned %v, want 1/11/owned", epoch, start, owned)
+	}
+	if g3.Version() != 11 {
+		t.Fatalf("rebooted version %d, want 11", g3.Version())
+	}
+	if !bytes.Equal(csrBytes(t, snapOf(g3)), want) {
+		t.Fatal("rebooted graph differs from the promoted run")
+	}
 }

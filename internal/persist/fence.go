@@ -20,16 +20,17 @@ import (
 //	uint32   format version (1)
 //	uint64   epoch
 //	uint64   epoch start version (first graph version of the epoch; 0 unknown)
-//	uint8    owned (1 = local ingest may acknowledge writes in this epoch)
+//	uint8    owned (1 = local ingest may acknowledge writes in this epoch; else 0)
 //	uint32   crc32c over the 29 bytes above
 //
-// A missing fence file means the directory predates failover: epoch 0,
-// owned — exactly the pre-epoch single-primary behaviour.
+// The file is exactly these 33 bytes. A missing fence file means no epoch
+// was ever promoted or adopted here: epoch 0, owned — the single-primary
+// behaviour.
 
 var fenceMagic = [8]byte{'E', 'F', 'D', 'F', 'E', 'N', 'C', 'E'}
 
 const (
-	fenceFormatV1 = uint32(1)
+	fenceFormat   = uint32(1)
 	fenceHdrBytes = 8 + 4 + 8 + 8 + 1
 	fenceFileName = "fence"
 )
@@ -41,6 +42,43 @@ type fenceState struct {
 	owned bool
 }
 
+// encodeFence lays fs out in the fence file format above.
+func encodeFence(fs fenceState) []byte {
+	buf := make([]byte, fenceHdrBytes+4)
+	copy(buf[:8], fenceMagic[:])
+	binary.LittleEndian.PutUint32(buf[8:], fenceFormat)
+	binary.LittleEndian.PutUint64(buf[12:], fs.epoch)
+	binary.LittleEndian.PutUint64(buf[20:], fs.start)
+	if fs.owned {
+		buf[28] = 1
+	}
+	binary.LittleEndian.PutUint32(buf[fenceHdrBytes:], crc32.Checksum(buf[:fenceHdrBytes], castagnoli))
+	return buf
+}
+
+// decodeFence parses the bytes of a fence file. Anything encodeFence could
+// not have written — a wrong length, magic or format, a checksum mismatch,
+// an owned byte other than 0 or 1 — is an error.
+func decodeFence(data []byte) (fenceState, error) {
+	if len(data) != fenceHdrBytes+4 || [8]byte(data[:8]) != fenceMagic {
+		return fenceState{}, fmt.Errorf("persist: fence file: bad magic or length")
+	}
+	if format := binary.LittleEndian.Uint32(data[8:]); format != fenceFormat {
+		return fenceState{}, fmt.Errorf("persist: fence file: unsupported format %d", format)
+	}
+	if crc32.Checksum(data[:fenceHdrBytes], castagnoli) != binary.LittleEndian.Uint32(data[fenceHdrBytes:]) {
+		return fenceState{}, fmt.Errorf("persist: fence file: checksum mismatch")
+	}
+	if data[28] > 1 {
+		return fenceState{}, fmt.Errorf("persist: fence file: owned byte %d", data[28])
+	}
+	return fenceState{
+		epoch: binary.LittleEndian.Uint64(data[12:]),
+		start: binary.LittleEndian.Uint64(data[20:]),
+		owned: data[28] == 1,
+	}, nil
+}
+
 // writeFenceFile durably publishes fs under dir (tmp → fsync → rename →
 // dir fsync). inject, when non-nil, is consulted at "fence.write" before any
 // byte lands — the promote crash-point drills hang off it.
@@ -50,16 +88,6 @@ func writeFenceFile(dir string, fs fenceState, inject func(string) error) error 
 			return fmt.Errorf("persist: fence write: %w", err)
 		}
 	}
-	var buf [fenceHdrBytes + 4]byte
-	copy(buf[:8], fenceMagic[:])
-	binary.LittleEndian.PutUint32(buf[8:], fenceFormatV1)
-	binary.LittleEndian.PutUint64(buf[12:], fs.epoch)
-	binary.LittleEndian.PutUint64(buf[20:], fs.start)
-	if fs.owned {
-		buf[28] = 1
-	}
-	binary.LittleEndian.PutUint32(buf[fenceHdrBytes:], crc32.Checksum(buf[:fenceHdrBytes], castagnoli))
-
 	path := filepath.Join(dir, fenceFileName)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -67,7 +95,7 @@ func writeFenceFile(dir string, fs fenceState, inject func(string) error) error 
 		return fmt.Errorf("persist: creating fence file: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after the rename succeeds
-	_, err = f.Write(buf[:])
+	_, err = f.Write(encodeFence(fs))
 	if err == nil {
 		err = f.Sync()
 	}
@@ -97,17 +125,6 @@ func readFenceFile(dir string) (fs fenceState, ok bool, err error) {
 	if err != nil {
 		return fenceState{}, false, fmt.Errorf("persist: reading fence file: %w", err)
 	}
-	if len(data) < fenceHdrBytes+4 || [8]byte(data[:8]) != fenceMagic {
-		return fenceState{}, false, fmt.Errorf("persist: fence file: bad magic or truncated")
-	}
-	if format := binary.LittleEndian.Uint32(data[8:]); format != fenceFormatV1 {
-		return fenceState{}, false, fmt.Errorf("persist: fence file: unsupported format %d", format)
-	}
-	if crc32.Checksum(data[:fenceHdrBytes], castagnoli) != binary.LittleEndian.Uint32(data[fenceHdrBytes:]) {
-		return fenceState{}, false, fmt.Errorf("persist: fence file: checksum mismatch")
-	}
-	fs.epoch = binary.LittleEndian.Uint64(data[12:])
-	fs.start = binary.LittleEndian.Uint64(data[20:])
-	fs.owned = data[28] == 1
-	return fs, true, nil
+	fs, err = decodeFence(data)
+	return fs, err == nil, err
 }

@@ -150,8 +150,8 @@ type RecoveryStats struct {
 	// ReplayedTombstones counts the tombstone records among ReplayedRecords
 	// — retire passes reproduced as exact deletions.
 	ReplayedTombstones int `json:"replayed_tombstones"`
-	// WindowMark is the expiry watermark adopted from the snapshot (zero for
-	// format-1 snapshots and fresh directories).
+	// WindowMark is the recovered expiry watermark: the snapshot's, advanced
+	// by the replayed tombstones (zero for a fresh directory).
 	WindowMark stream.WindowMark `json:"window_mark"`
 	// SkippedRecords counts WAL records at or below the snapshot watermark,
 	// already covered by the snapshot.

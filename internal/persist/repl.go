@@ -32,7 +32,7 @@ import (
 // from the log, so the only way forward for the caller is a snapshot resync.
 var ErrTailGone = errors.New("persist: requested tail start precedes the WAL truncation floor")
 
-// Exported record kinds, numerically identical to the v2 on-disk kinds.
+// Exported record kinds, numerically identical to the on-disk kinds.
 const (
 	// RecordEdges is an ingested edge batch.
 	RecordEdges = recEdges
@@ -69,7 +69,7 @@ func EncodeRecordFrame(r Record) []byte {
 // returning it with its framed size. ok is false for a truncated, checksum
 // -failing, or malformed frame.
 func DecodeRecordFrame(data []byte) (Record, int, bool) {
-	rec, n, ok := decodeRecordV2(data)
+	rec, n, ok := decodeRecord(data)
 	if !ok {
 		return Record{}, 0, false
 	}
@@ -95,17 +95,15 @@ func (s *Store) AppendRecord(r Record) error {
 	return s.journalRecord(walRecord{kind: r.Kind, version: r.Version, edges: r.Edges, mark: r.Mark, epoch: r.Epoch})
 }
 
-// SegmentInfo describes one shippable WAL segment.
+// SegmentInfo describes one shippable WAL segment: a v2 file, magic
+// included, of Bytes acknowledged bytes holding Records records between
+// MinVersion and MaxVersion. Followers download it verbatim.
 type SegmentInfo struct {
 	Name       string `json:"name"`
 	Bytes      int64  `json:"bytes"`
 	MinVersion uint64 `json:"min_version"`
 	MaxVersion uint64 `json:"max_version"`
 	Records    int    `json:"records"`
-	// Legacy marks a pre-windowing v1 segment (no header, edge batches
-	// only). Followers download it verbatim; their own recovery scanner
-	// format-detects it exactly like the primary's did.
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // SnapshotInfo names the snapshot a bootstrap should download.
@@ -177,7 +175,6 @@ func (w *wal) segmentInfos() []SegmentInfo {
 			MinVersion: seg.minVer,
 			MaxVersion: seg.maxVer,
 			Records:    seg.records,
-			Legacy:     seg.v1,
 		})
 	}
 	for _, seg := range w.sealed {
@@ -257,7 +254,7 @@ func (l *limitedFile) Read(p []byte) (int, error) { return l.r.Read(p) }
 func (l *limitedFile) Close() error               { return l.f.Close() }
 
 // TailSince returns the durable records with version > from, sorted by
-// version and re-framed in the v2 format, up to roughly maxBytes per call
+// version and framed in the v2 format, up to roughly maxBytes per call
 // (at least one record is always returned when any qualifies; 0 picks 4MB).
 // last is the highest version included — the caller's next from. A from
 // below the truncation floor returns ErrTailGone: those versions now exist
@@ -312,21 +309,14 @@ func (w *wal) tailSince(from uint64, maxBytes int64) ([]byte, uint64, int, error
 		if int64(len(data)) > seg.bytes {
 			data = data[:seg.bytes] // exclude a tainted tail / racing write
 		}
-		off := 0
-		decode := decodeRecordV1
-		if !seg.v1 {
-			off = len(walMagic)
-			decode = decodeRecordV2
+		segRecs, end := decodeRecords(data)
+		if end != len(data) {
+			return fmt.Errorf("persist: WAL segment %s: undecodable record at offset %d during tail", filepath.Base(seg.path), end)
 		}
-		for off < len(data) {
-			rec, sz, ok := decode(data[off:])
-			if !ok {
-				return fmt.Errorf("persist: WAL segment %s: undecodable record at offset %d during tail", filepath.Base(seg.path), off)
-			}
+		for _, rec := range segRecs {
 			if rec.version > from {
 				recs = append(recs, rec)
 			}
-			off += sz
 		}
 		return nil
 	}

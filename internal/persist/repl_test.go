@@ -107,72 +107,6 @@ func TestManifestShipRecoversIdentically(t *testing.T) {
 	}
 }
 
-// TestManifestMixedV1V2Segments pins segment enumeration over a directory
-// mixing a legacy v1 segment with v2 segments: the v1 file is flagged
-// Legacy, and TailSince re-frames its records as v2 so a tailer decodes one
-// format only.
-func TestManifestMixedV1V2Segments(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var legacy []byte
-	legacy = append(legacy, v1Record(1, []bipartite.Edge{{U: 1, V: 2}})...)
-	legacy = append(legacy, v1Record(2, []bipartite.Edge{{U: 3, V: 4}})...)
-	if err := os.WriteFile(segPath(walDir, 1), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
-	defer st.Close()
-	if g.Version() != 2 {
-		t.Fatalf("recovered version %d from the v1 segment, want 2", g.Version())
-	}
-	if res := g.Append([]bipartite.Edge{{U: 5, V: 6}}); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-
-	m, err := st.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Segments) != 2 {
-		t.Fatalf("want the v1 segment and the v2 active segment, got %+v", m.Segments)
-	}
-	if !m.Segments[0].Legacy || m.Segments[0].Records != 2 {
-		t.Fatalf("v1 segment not flagged legacy: %+v", m.Segments[0])
-	}
-	if m.Segments[1].Legacy {
-		t.Fatalf("v2 segment flagged legacy: %+v", m.Segments[1])
-	}
-
-	payload, last, n, err := st.TailSince(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || last != 3 {
-		t.Fatalf("tail from 0: %d records up to %d, want 3 up to 3", n, last)
-	}
-	var versions []uint64
-	for off := 0; off < len(payload); {
-		rec, sz, ok := DecodeRecordFrame(payload[off:])
-		if !ok {
-			t.Fatalf("undecodable v2 frame at offset %d", off)
-		}
-		versions = append(versions, rec.Version)
-		if rec.Kind != RecordEdges || len(rec.Edges) != 1 {
-			t.Fatalf("record %d: %+v", rec.Version, rec)
-		}
-		off += sz
-	}
-	for i := 1; i < len(versions); i++ {
-		if versions[i] <= versions[i-1] {
-			t.Fatalf("tail versions not ascending: %v", versions)
-		}
-	}
-}
-
 // TestTailSinceChunkingAndResume pins the pagination contract: a tiny
 // maxBytes still makes progress (≥1 record per call), resuming from each
 // call's last version walks the whole log in ascending order with no gaps

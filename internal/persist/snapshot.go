@@ -3,6 +3,7 @@ package persist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,9 +15,7 @@ import (
 	"ensemfdet/internal/stream"
 )
 
-// Snapshot file layout, little-endian.
-//
-// Format 3 (written by this version):
+// Snapshot file layout (format 3), little-endian.
 //
 //	[8]byte  magic "EFDSNAP1"
 //	uint32   format version (3)
@@ -26,17 +25,14 @@ import (
 //	int64    written-at wall time (unix ns; recovery stamps restored edges)
 //	uint64   epoch (failover term the snapshot was written under)
 //	uint32   crc32c over the 52 header bytes above
-//	[]byte   bipartite CSR codec blob (self-checksummed)
+//	[]byte   bipartite CSR codec blob (self-checksummed), to end of file
 //
-// Format 2 (pre-failover) lacks the epoch field; format 1 (legacy,
-// pre-windowing) also lacks the three watermark/time fields. The reader
-// accepts all three, reporting zeroes for the absent fields — so a
-// pre-epoch directory recovers into an epoch-aware store without a rewrite.
-// The watermark is captured atomically with the CSR cut
-// (stream.SnapshotWithMark), so a recovered graph adopts expiry progress
-// consistent with the recovered edge set — combined with WAL tombstone
-// replay for post-snapshot retires, no restart can resurrect an expired
-// edge.
+// Any other format word is refused with an error naming the file: formats 1
+// and 2 are no longer read. The watermark is captured atomically with the
+// CSR cut (stream.SnapshotWithMark), so a recovered graph adopts expiry
+// progress consistent with the recovered edge set — combined with WAL
+// tombstone replay for post-snapshot retires, no restart can resurrect an
+// expired edge.
 //
 // Files are written to a .tmp sibling, synced, renamed into place, and the
 // directory synced, so a crash mid-write leaves either the old set of
@@ -46,21 +42,19 @@ import (
 var snapMagic = [8]byte{'E', 'F', 'D', 'S', 'N', 'A', 'P', '1'}
 
 const (
-	snapFormatV1 = uint32(1)
-	snapFormatV2 = uint32(2)
-	snapFormatV3 = uint32(3)
+	snapFormat   = uint32(3)
+	snapHdrBytes = 52 // header bytes ahead of their checksum
 )
 
 // SnapshotHeader is the decoded metadata of one snapshot file or stream.
-// Fields a legacy format lacks are zero.
 type SnapshotHeader struct {
 	// Version is the graph version the snapshot captures.
 	Version uint64
-	// Mark is the window expiry watermark at the cut (formats ≥ 2).
+	// Mark is the window expiry watermark at the cut.
 	Mark stream.WindowMark
-	// WrittenAt is the wall time of the write, unix ns (formats ≥ 2).
+	// WrittenAt is the wall time of the write, unix ns.
 	WrittenAt int64
-	// Epoch is the failover term the snapshot was written under (format 3).
+	// Epoch is the failover term the snapshot was written under.
 	Epoch uint64
 }
 
@@ -68,11 +62,28 @@ func snapPath(dir string, version uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", version))
 }
 
-// writeSnapshotFile durably writes g at the given graph version with its
-// window watermark and epoch, and removes older snapshots. It returns the
-// final path.
-func writeSnapshotFile(dir string, g *bipartite.Graph, version uint64, mark stream.WindowMark, writtenAt int64, epoch uint64) (string, error) {
-	path := snapPath(dir, version)
+// encodeSnapshot writes the snapshot of g described by h to w: the only
+// encoder of the file layout above.
+func encodeSnapshot(w io.Writer, g *bipartite.Graph, h SnapshotHeader) error {
+	var hdr [snapHdrBytes + 4]byte
+	copy(hdr[:8], snapMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], snapFormat)
+	binary.LittleEndian.PutUint64(hdr[12:], h.Version)
+	binary.LittleEndian.PutUint64(hdr[20:], h.Mark.Version)
+	binary.LittleEndian.PutUint64(hdr[28:], uint64(h.Mark.Wall))
+	binary.LittleEndian.PutUint64(hdr[36:], uint64(h.WrittenAt))
+	binary.LittleEndian.PutUint64(hdr[44:], h.Epoch)
+	binary.LittleEndian.PutUint32(hdr[snapHdrBytes:], crc32.Checksum(hdr[:snapHdrBytes], castagnoli))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("persist: writing snapshot header: %w", err)
+	}
+	return bipartite.WriteCSR(w, g)
+}
+
+// writeSnapshotFile durably writes the snapshot of g described by hdr and
+// removes older snapshots. It returns the final path.
+func writeSnapshotFile(dir string, g *bipartite.Graph, hdr SnapshotHeader) (string, error) {
+	path := snapPath(dir, hdr.Version)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -81,29 +92,12 @@ func writeSnapshotFile(dir string, g *bipartite.Graph, version uint64, mark stre
 	defer os.Remove(tmp) // no-op after the rename succeeds
 
 	bw := bufio.NewWriterSize(f, 1<<20)
-	var hdr [52]byte
-	copy(hdr[:8], snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], snapFormatV3)
-	binary.LittleEndian.PutUint64(hdr[12:], version)
-	binary.LittleEndian.PutUint64(hdr[20:], mark.Version)
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(mark.Wall))
-	binary.LittleEndian.PutUint64(hdr[36:], uint64(writtenAt))
-	binary.LittleEndian.PutUint64(hdr[44:], epoch)
-	if _, err := bw.Write(hdr[:]); err == nil {
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(hdr[:], castagnoli))
-		_, err = bw.Write(crc[:])
-		if err == nil {
-			err = bipartite.WriteCSR(bw, g)
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err == nil {
-			err = f.Sync()
-		}
-	} else {
-		err = fmt.Errorf("persist: writing snapshot header: %w", err)
+	err = encodeSnapshot(bw, g, hdr)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -119,7 +113,7 @@ func writeSnapshotFile(dir string, g *bipartite.Graph, version uint64, mark stre
 	}
 	// The new snapshot is durable; older ones are now redundant.
 	for _, old := range listSnapshots(dir) {
-		if old.version != version {
+		if old.version != hdr.Version {
 			//ensemfdet:durability-ok superseded snapshots: the newer one is already fsynced and published
 			os.Remove(old.path)
 		}
@@ -127,8 +121,7 @@ func writeSnapshotFile(dir string, g *bipartite.Graph, version uint64, mark stre
 	return path, nil
 }
 
-// readSnapshotFile decodes and validates one snapshot file of any supported
-// format. Fields absent from a legacy format come back zero.
+// readSnapshotFile decodes and validates one snapshot file.
 func readSnapshotFile(path string) (g *bipartite.Graph, hdr SnapshotHeader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -138,50 +131,47 @@ func readSnapshotFile(path string) (g *bipartite.Graph, hdr SnapshotHeader, err 
 	return decodeSnapshot(f, filepath.Base(path))
 }
 
-// decodeSnapshot reads one snapshot of any supported format from r; label
-// names the source in errors (a file's base name, or "stream" for a shipped
-// body).
+// decodeSnapshot reads one snapshot from r, which must end where the CSR
+// blob does; label names the source in errors (a file's base name, or
+// "stream" for a shipped body).
 func decodeSnapshot(r io.Reader, label string) (g *bipartite.Graph, out SnapshotHeader, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 
-	var pre [12]byte // magic + format: enough to select the header shape
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return nil, out, fmt.Errorf("persist: reading snapshot header: %w", err)
+	// Magic and format word first, so a retired format is named as such
+	// even when its file is shorter than a format-3 header.
+	var hdr [snapHdrBytes + 4]byte
+	if _, err := io.ReadFull(br, hdr[:12]); err != nil {
+		return nil, out, fmt.Errorf("persist: snapshot %s: reading header: %w", label, err)
 	}
-	if [8]byte(pre[:8]) != snapMagic {
+	if [8]byte(hdr[:8]) != snapMagic {
 		return nil, out, fmt.Errorf("persist: snapshot %s: bad magic", label)
 	}
-	format := binary.LittleEndian.Uint32(pre[8:])
-	var hdrLen int
-	switch format {
-	case snapFormatV1:
-		hdrLen = 20 // magic + format + graph version
-	case snapFormatV2:
-		hdrLen = 44 // + watermark version, watermark wall, written-at
-	case snapFormatV3:
-		hdrLen = 52 // + epoch
-	default:
+	if format := binary.LittleEndian.Uint32(hdr[8:]); format != snapFormat {
 		return nil, out, fmt.Errorf("persist: snapshot %s: unsupported format %d", label, format)
 	}
-	hdr := make([]byte, hdrLen+4)
-	copy(hdr, pre[:])
-	if _, err := io.ReadFull(br, hdr[len(pre):]); err != nil {
-		return nil, out, fmt.Errorf("persist: reading snapshot header: %w", err)
+	if _, err := io.ReadFull(br, hdr[12:]); err != nil {
+		return nil, out, fmt.Errorf("persist: snapshot %s: reading header: %w", label, err)
 	}
-	if crc32.Checksum(hdr[:hdrLen], castagnoli) != binary.LittleEndian.Uint32(hdr[hdrLen:]) {
+	if crc32.Checksum(hdr[:snapHdrBytes], castagnoli) != binary.LittleEndian.Uint32(hdr[snapHdrBytes:]) {
 		return nil, out, fmt.Errorf("persist: snapshot %s: header checksum mismatch", label)
 	}
-	out.Version = binary.LittleEndian.Uint64(hdr[12:])
-	if format >= snapFormatV2 {
-		out.Mark.Version = binary.LittleEndian.Uint64(hdr[20:])
-		out.Mark.Wall = int64(binary.LittleEndian.Uint64(hdr[28:]))
-		out.WrittenAt = int64(binary.LittleEndian.Uint64(hdr[36:]))
-	}
-	if format >= snapFormatV3 {
-		out.Epoch = binary.LittleEndian.Uint64(hdr[44:])
+	out = SnapshotHeader{
+		Version: binary.LittleEndian.Uint64(hdr[12:]),
+		Mark: stream.WindowMark{
+			Version: binary.LittleEndian.Uint64(hdr[20:]),
+			Wall:    int64(binary.LittleEndian.Uint64(hdr[28:])),
+		},
+		WrittenAt: int64(binary.LittleEndian.Uint64(hdr[36:])),
+		Epoch:     binary.LittleEndian.Uint64(hdr[44:]),
 	}
 	g, err = bipartite.ReadCSR(br)
 	if err != nil {
+		return nil, out, fmt.Errorf("persist: snapshot %s: %w", label, err)
+	}
+	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("trailing bytes after the CSR blob")
+		}
 		return nil, out, fmt.Errorf("persist: snapshot %s: %w", label, err)
 	}
 	return g, out, nil

@@ -119,11 +119,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		pending: records,
 		torn:    torn,
 	}
-	// Seed the epoch from the fence file. A directory without one predates
-	// failover: epoch 0, owned — the single-primary behaviour. Recover then
-	// raises the epoch past the fence if snapshots or WAL fences outrank it
-	// (a crash can land durable state before the fence write), dropping
-	// ownership when they do.
+	// Seed the epoch from the fence file. A directory without one never
+	// promoted or adopted an epoch: epoch 0, owned — the single-primary
+	// behaviour. Recover then raises the epoch past the fence if snapshots
+	// or WAL fences outrank it (a crash can land durable state before the
+	// fence write), dropping ownership when they do.
 	fence, ok, err := readFenceFile(dir)
 	if err != nil {
 		return nil, err
@@ -145,26 +145,27 @@ func (s *Store) Recover(g *stream.Graph) (RecoveryStats, error) {
 	rec.TornTail = s.torn
 
 	// maxBadSnap is the highest version an unreadable snapshot file claimed
-	// (from its name). Falling back past such a file is only safe if the WAL
+	// (from its name); badSnap names that file and badErr says why it did
+	// not decode. Falling back past such a file is only safe if the WAL
 	// still covers every version it did — otherwise "recovery" would boot a
 	// graph silently missing acknowledged batches, the exact loss the sealed
 	// -segment scan refuses.
 	var snap *bipartite.Graph
-	var snapMark stream.WindowMark
-	var snapWrittenAt int64
-	var snapEpoch uint64
+	var snapHdr SnapshotHeader
 	var maxBadSnap uint64
+	var badSnap string
+	var badErr error
 	for _, sf := range listSnapshots(filepath.Join(s.dir, "snap")) {
 		loaded, hdr, err := readSnapshotFile(sf.path)
 		if err != nil {
 			s.logf("persist: skipping unusable snapshot %s: %v", filepath.Base(sf.path), err)
 			if sf.version > maxBadSnap {
-				maxBadSnap = sf.version
+				maxBadSnap, badSnap, badErr = sf.version, filepath.Base(sf.path), err
 			}
 			continue
 		}
-		snap, rec.SnapshotVersion, rec.SnapshotEdges = loaded, hdr.Version, loaded.NumEdges()
-		snapMark, snapWrittenAt, snapEpoch = hdr.Mark, hdr.WrittenAt, hdr.Epoch
+		snap, snapHdr = loaded, hdr
+		rec.SnapshotVersion, rec.SnapshotEdges = hdr.Version, loaded.NumEdges()
 		break
 	}
 	if snap != nil {
@@ -173,10 +174,9 @@ func (s *Store) Recover(g *stream.Graph) (RecoveryStats, error) {
 		// stamps' original batch granularity is not persisted, so the window
 		// treats recovered history as uniformly snapshot-aged (it can retain
 		// longer than the live run would, never expire earlier).
-		if err := g.RestoreAt(snap, rec.SnapshotVersion, snapMark, snapWrittenAt); err != nil {
+		if err := g.RestoreAt(snap, rec.SnapshotVersion, snapHdr.Mark, snapHdr.WrittenAt); err != nil {
 			return rec, err
 		}
-		rec.WindowMark = snapMark
 		s.snapVersion.Store(rec.SnapshotVersion)
 		// The WAL is only guaranteed to reach back to this snapshot: records
 		// it covers may already be gone from disk, so a replication tail may
@@ -199,22 +199,21 @@ func (s *Store) Recover(g *stream.Graph) (RecoveryStats, error) {
 	// crash can tear one record of a concurrent pair out of the tail, and
 	// those batches were never acknowledged.)
 	if maxBadSnap > rec.SnapshotVersion {
-		expected := rec.SnapshotVersion + 1
+		expected, lost := rec.SnapshotVersion+1, maxBadSnap
 		for _, r := range replay {
-			if r.version <= rec.SnapshotVersion || expected > maxBadSnap {
+			if r.version <= rec.SnapshotVersion {
 				continue
 			}
-			if r.version != expected {
-				return rec, fmt.Errorf(
-					"persist: recovery would lose versions %d..%d: they are covered only by an unreadable snapshot (claimed version %d); restore it from backup, or delete it to accept the loss",
-					expected, min(r.version-1, maxBadSnap), maxBadSnap)
+			if expected > maxBadSnap || r.version != expected {
+				lost = min(r.version-1, maxBadSnap)
+				break
 			}
 			expected = r.version + 1
 		}
 		if expected <= maxBadSnap {
 			return rec, fmt.Errorf(
-				"persist: recovery would lose versions %d..%d: they are covered only by an unreadable snapshot (claimed version %d); restore it from backup, or delete it to accept the loss",
-				expected, maxBadSnap, maxBadSnap)
+				"persist: recovery would lose versions %d..%d: they are covered only by the unreadable snapshot %s (%v); restore it from backup, or delete it to accept the loss",
+				expected, lost, badSnap, badErr)
 		}
 	}
 
@@ -302,8 +301,8 @@ func (s *Store) Recover(g *stream.Graph) (RecoveryStats, error) {
 		s.epochStart.Store(walEpochStart)
 		s.owned.Store(false)
 	}
-	if snapEpoch > s.epoch.Load() {
-		s.epoch.Store(snapEpoch)
+	if snapHdr.Epoch > s.epoch.Load() {
+		s.epoch.Store(snapHdr.Epoch)
 		s.epochStart.Store(0) // start version unknown from a header alone
 		s.owned.Store(false)
 	}
@@ -467,7 +466,8 @@ func (s *Store) Snapshot() error {
 			return fmt.Errorf("persist: writing snapshot: %w", err)
 		}
 	}
-	if _, err := writeSnapshotFile(filepath.Join(s.dir, "snap"), g, version, mark, time.Now().UnixNano(), s.epoch.Load()); err != nil {
+	hdr := SnapshotHeader{Version: version, Mark: mark, WrittenAt: time.Now().UnixNano(), Epoch: s.epoch.Load()}
+	if _, err := writeSnapshotFile(filepath.Join(s.dir, "snap"), g, hdr); err != nil {
 		s.snapErrs.Add(1)
 		return err
 	}

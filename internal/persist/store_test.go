@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -210,68 +211,112 @@ func TestBackgroundSnapshotTruncatesWAL(t *testing.T) {
 }
 
 // TestRecoverySkipsCorruptSnapshot: an unreadable snapshot whose range the
-// WAL still covers must be skipped with a warning, falling back to full WAL
-// replay — never a refused boot, never silent trust.
+// WAL still covers must be skipped with a warning naming the file and the
+// cause, falling back to full WAL replay — never a refused boot, never
+// silent trust. A snapshot in a retired format is skipped the same way.
 func TestRecoverySkipsCorruptSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	_, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
-	for _, b := range randomBatches(17, 4, 20) {
-		g.Append(b)
-	}
-	live, _ := g.Snapshot()
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte // applied to a real format-3 file
+		cause  string
+	}{
+		{"garbage", func([]byte) []byte { return []byte("not a snapshot") }, "bad magic"},
+		{"format 1", func(b []byte) []byte { return withFormat(b, 1) }, "unsupported format 1"},
+		{"format 2", func(b []byte) []byte { return withFormat(b, 2) }, "unsupported format 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
+			for _, b := range randomBatches(17, 4, 20) {
+				g.Append(b)
+			}
+			live, _ := g.Snapshot()
 
-	// Plant a corrupt snapshot claiming a version the (untruncated) WAL
-	// still fully covers: skipping it loses nothing.
-	bad := snapPath(filepath.Join(dir, "snap"), 2)
-	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Plant an unreadable snapshot claiming a version the
+			// (untruncated) WAL still fully covers: skipping it loses nothing.
+			var file bytes.Buffer
+			if err := encodeSnapshot(&file, live, SnapshotHeader{Version: 2}); err != nil {
+				t.Fatal(err)
+			}
+			bad := snapPath(filepath.Join(dir, "snap"), 2)
+			if err := os.WriteFile(bad, tc.damage(file.Bytes()), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, g2, rec := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
-	if rec.SnapshotVersion != 0 {
-		t.Fatalf("corrupt snapshot was trusted: %+v", rec)
-	}
-	got, _ := g2.Snapshot()
-	if !bytes.Equal(csrBytes(t, got), csrBytes(t, live)) {
-		t.Fatal("recovery around a corrupt snapshot diverged")
+			var logged []string
+			logf := func(format string, args ...any) {
+				logged = append(logged, fmt.Sprintf(format, args...))
+				t.Logf(format, args...)
+			}
+			_, g2, rec := openDurable(t, dir, 2, Options{Fsync: FsyncAlways, Logf: logf})
+			if rec.SnapshotVersion != 0 {
+				t.Fatalf("unreadable snapshot was trusted: %+v", rec)
+			}
+			got, _ := g2.Snapshot()
+			if !bytes.Equal(csrBytes(t, got), csrBytes(t, live)) {
+				t.Fatal("recovery around an unreadable snapshot diverged")
+			}
+			warned := false
+			for _, line := range logged {
+				warned = warned || strings.Contains(line, "skipping") &&
+					strings.Contains(line, filepath.Base(bad)) && strings.Contains(line, tc.cause)
+			}
+			if !warned {
+				t.Fatalf("no skip warning naming %s and %q in %q", filepath.Base(bad), tc.cause, logged)
+			}
+		})
 	}
 }
 
 // TestRecoveryRefusesLossyCorruptSnapshot: when the newest snapshot is
 // unreadable AND the WAL was already truncated to it, the acknowledged
-// batches it held exist nowhere else — recovery must refuse with a clear
-// message, not silently boot a near-empty graph.
+// batches it held exist nowhere else — recovery must refuse with a message
+// naming the file and why it did not decode, not silently boot a near-empty
+// graph. A snapshot in a retired format is refused the same way.
 func TestRecoveryRefusesLossyCorruptSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	st, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
-	for _, b := range randomBatches(19, 5, 20) {
-		g.Append(b)
-	}
-	if err := st.Snapshot(); err != nil { // truncates the WAL to version 5
-		t.Fatal(err)
-	}
-	g.Append(edgesN(900, 3)) // version 6, the only WAL record left
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+		cause  string
+	}{
+		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }, "checksum mismatch"},
+		{"format 1", func(b []byte) []byte { return withFormat(b, 1) }, "unsupported format 1"},
+		{"format 2", func(b []byte) []byte { return withFormat(b, 2) }, "unsupported format 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
+			for _, b := range randomBatches(19, 5, 20) {
+				g.Append(b)
+			}
+			if err := st.Snapshot(); err != nil { // truncates the WAL to version 5
+				t.Fatal(err)
+			}
+			g.Append(edgesN(900, 3)) // version 6, the only WAL record left
 
-	snaps := listSnapshots(filepath.Join(dir, "snap"))
-	if len(snaps) != 1 {
-		t.Fatalf("expected exactly one snapshot, got %d", len(snaps))
-	}
-	raw, err := os.ReadFile(snaps[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(snaps[0].path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			snaps := listSnapshots(filepath.Join(dir, "snap"))
+			if len(snaps) != 1 {
+				t.Fatalf("expected exactly one snapshot, got %d", len(snaps))
+			}
+			raw, err := os.ReadFile(snaps[0].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snaps[0].path, tc.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	st2, err := Open(dir, Options{Fsync: FsyncAlways, Logf: testLogf(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = st2.Recover(stream.NewSharded(2))
-	if err == nil || !strings.Contains(err.Error(), "lose versions") {
-		t.Fatalf("lossy corrupt snapshot must refuse recovery, got: %v", err)
+			st2, err := Open(dir, Options{Fsync: FsyncAlways, Logf: testLogf(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = st2.Recover(stream.NewSharded(2))
+			name := filepath.Base(snaps[0].path)
+			if err == nil || !strings.Contains(err.Error(), "lose versions 1..5") ||
+				!strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("lossy unreadable snapshot must refuse recovery naming %s and %q, got: %v", name, tc.cause, err)
+			}
+		})
 	}
 }
 

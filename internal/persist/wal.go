@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,46 +16,29 @@ import (
 	"ensemfdet/internal/stream"
 )
 
-// WAL on-disk layout, little-endian.
+// WAL on-disk layout (format v2), little-endian.
 //
-// Format v2 segments open with an 8-byte magic ("EFDWAL2\0"); v1 segments
-// (written before windowing) have no header and start directly with a
-// record. The scanner format-detects per segment, so a directory may mix v1
-// and v2 segments freely — recovery replays both — while every segment
-// written by this version (including compaction rewrites) is v2.
-//
-// v1 record framing:
+// A segment opens with an 8-byte magic ("EFDWAL2\0") followed by records.
+// Tombstones carry the window watermark their retire pass reached, so replay
+// restores expiry progress exactly; epoch fences carry the failover term
+// that began at their version:
 //
 //	uint32 payloadLen
 //	uint32 crc32c(payload)
 //	payload:
-//	  uint64 version   graph version the batch committed as
-//	  uint32 count     edges in the batch (pre-dedup)
-//	  count × (uint32 u, uint32 v)
-//
-// v2 record framing (same frame, payload gains a kind; tombstones also
-// carry the window watermark their retire pass reached, so replay restores
-// expiry progress exactly; epoch fences carry the failover term that began
-// at their version):
-//
-//	uint32 payloadLen
-//	uint32 crc32c(payload)
-//	payload:
-//	  uint64 version
+//	  uint64 version   graph version the record committed as
 //	  uint32 kind      1 = edge batch, 2 = tombstone, 3 = epoch fence
-//	  uint32 count     (0 for kind 3)
+//	  uint32 count     edges in the record, pre-dedup (0 for kind 3)
 //	  [kind 2 only] uint64 watermark version, int64 watermark wall (unix ns)
 //	  [kind 3 only] uint64 epoch
 //	  count × (uint32 u, uint32 v)
 //
-// v2 segments written before failover existed simply contain no kind-3
-// records; they decode unchanged ("v2-no-epoch" compatibility).
-//
 // Segments are named seg-<16-hex-digit index>.wal; the index only orders
 // them. A segment is sealed by rotation (synced, then never written again),
-// so only the final segment can legitimately end mid-record after a crash.
-// A resumed v1 final segment is sealed immediately at open and a fresh v2
-// segment becomes active, so records of both formats never share a file.
+// so only the final segment can legitimately end mid-record after a crash —
+// or mid-magic, when the crash hit a freshly rotated segment. A non-empty
+// segment without the magic is refused by name: headerless v1 segments are
+// no longer read.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -62,7 +46,7 @@ var walMagic = [8]byte{'E', 'F', 'D', 'W', 'A', 'L', '2', 0}
 
 const walFrameBytes = 8 // length + checksum prefix
 
-// Record kinds of the v2 format. v1 records decode as recEdges.
+// Record kinds.
 const (
 	recEdges      = uint32(1)
 	recTombstone  = uint32(2)
@@ -76,10 +60,25 @@ type walRecord struct {
 	mark    stream.WindowMark // tombstones only
 	epoch   uint64            // epoch fences only
 	edges   []bipartite.Edge
-	size    int64 // on-disk framed size, format-dependent
 }
 
-func (r walRecord) frameSize() int64 { return r.size }
+// payloadPrefix is the fixed payload length of a record of the given kind,
+// ahead of its edges: version, kind and count, plus the watermark of a
+// tombstone or the epoch of a fence.
+func payloadPrefix(kind uint32) int {
+	switch kind {
+	case recTombstone:
+		return 32
+	case recEpochFence:
+		return 24
+	}
+	return 16
+}
+
+// frameSize is the record's framed on-disk size.
+func (r walRecord) frameSize() int64 {
+	return int64(walFrameBytes + payloadPrefix(r.kind) + 8*len(r.edges))
+}
 
 // segMeta describes one on-disk segment.
 type segMeta struct {
@@ -89,7 +88,6 @@ type segMeta struct {
 	minVer  uint64 // lowest record version in the segment (0 = none)
 	maxVer  uint64 // highest record version in the segment (0 = none)
 	records int
-	v1      bool // legacy headerless format
 }
 
 func (m *segMeta) note(version uint64) {
@@ -185,13 +183,6 @@ func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any), 
 	if len(names) == 0 {
 		w.active = segMeta{index: 1, path: segPath(dir, 1)}
 	}
-	if w.active.v1 && w.active.bytes > 0 {
-		// Never append v2 records into a legacy segment: seal it as-is (its
-		// torn tail, if any, was just truncated) and start a fresh v2
-		// segment, so each file holds exactly one format.
-		w.sealed = append(w.sealed, w.active)
-		w.active = segMeta{index: w.active.index + 1, path: segPath(dir, w.active.index+1)}
-	}
 	// Resume appending into the (possibly just-truncated) final segment.
 	w.f, err = os.OpenFile(w.active.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -200,45 +191,37 @@ func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any), 
 	return w, records, torn, nil
 }
 
-// scanSegment decodes one segment, detecting its format from the leading
-// magic. A record that is truncated, fails its checksum, or does not decode
-// marks the segment torn from that offset: in the final segment the file is
-// truncated there (crash mid-write — the batch was never acknowledged); in a
-// sealed segment it is a hard error, since dropping it would lose
-// acknowledged batches.
+// scanSegment decodes one segment. A record that is truncated, fails its
+// checksum, or does not decode marks the segment torn from that offset: in
+// the final segment the file is truncated there (crash mid-write — the batch
+// was never acknowledged); in a sealed segment it is a hard error, since
+// dropping it would lose acknowledged batches. A final segment torn inside
+// its magic is truncated to empty the same way; any other non-empty segment
+// without the magic is refused.
 func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord, segMeta, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, segMeta{}, false, fmt.Errorf("persist: reading WAL segment: %w", err)
 	}
+	name := filepath.Base(path)
 	meta := segMeta{path: path}
-	meta.index, err = parseIndexedName(filepath.Base(path), "seg-", ".wal")
+	meta.index, err = parseIndexedName(name, "seg-", ".wal")
 	if err != nil {
-		return nil, segMeta{}, false, fmt.Errorf("persist: unparseable WAL segment name %q", filepath.Base(path))
-	}
-
-	off := 0
-	decode := decodeRecordV2
-	if len(data) >= len(walMagic) && [8]byte(data[:8]) == walMagic {
-		off = len(walMagic)
-	} else {
-		// No magic: a legacy v1 segment, or a fresh/torn-at-the-header v2
-		// file. Both scan with the v1 decoder (which finds no records in the
-		// latter) and are treated as v1 — openWAL then retires a non-empty
-		// one instead of appending to it.
-		meta.v1 = true
-		decode = decodeRecordV1
+		return nil, segMeta{}, false, fmt.Errorf("persist: unparseable WAL segment name %q", name)
 	}
 
 	var records []walRecord
-	for off < len(data) {
-		rec, n, ok := decode(data[off:])
-		if !ok {
-			break
-		}
-		records = append(records, rec)
-		meta.note(rec.version)
-		off += n
+	off := 0 // a torn header leaves it at 0: the whole file is torn
+	switch {
+	case len(data) == 0:
+	case len(data) >= len(walMagic) && [8]byte(data[:8]) == walMagic:
+		records, off = decodeRecords(data)
+	case !last || !tornHeader(data):
+		return nil, segMeta{}, false, fmt.Errorf(
+			"persist: WAL segment %s has no EFDWAL2 header: headerless v1 segments are no longer read", name)
+	}
+	for _, r := range records {
+		meta.note(r.version)
 	}
 	meta.bytes = int64(off)
 	if off == len(data) {
@@ -249,7 +232,7 @@ func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord
 			"persist: WAL segment %s corrupt at offset %d: not the final segment, refusing to drop acknowledged records", path, off)
 	}
 	logf("persist: truncating torn WAL tail: %s at offset %d (%d bytes dropped; the interrupted batch was never acknowledged)",
-		filepath.Base(path), off, len(data)-off)
+		name, off, len(data)-off)
 	//ensemfdet:durability-ok cuts only the torn tail past the last acknowledged record
 	if err := os.Truncate(path, int64(off)); err != nil {
 		return nil, segMeta{}, false, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
@@ -257,34 +240,40 @@ func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord
 	return records, meta, true, nil
 }
 
-// decodeRecordV1 parses one legacy framed record (edge batches only) from
-// the head of data, reporting its total size. ok is false for a torn,
-// checksum-failing, or malformed record.
-func decodeRecordV1(data []byte) (walRecord, int, bool) {
-	if len(data) < walFrameBytes {
-		return walRecord{}, 0, false
+// tornHeader reports whether a segment's bytes are what a crash while
+// writing its magic can leave behind: a strict prefix of the magic, or
+// zeros the filesystem exposed before the data landed.
+func tornHeader(data []byte) bool {
+	if len(data) < len(walMagic) && bytes.Equal(data, walMagic[:len(data)]) {
+		return true
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	sum := binary.LittleEndian.Uint32(data[4:])
-	if n < 12 || (n-12)%8 != 0 || walFrameBytes+n > len(data) {
-		return walRecord{}, 0, false
+	for _, b := range data {
+		if b != 0 {
+			return false
+		}
 	}
-	payload := data[walFrameBytes : walFrameBytes+n]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return walRecord{}, 0, false
-	}
-	rec := walRecord{version: binary.LittleEndian.Uint64(payload), kind: recEdges}
-	count := int(binary.LittleEndian.Uint32(payload[8:]))
-	if 12+8*count != n || rec.version == 0 {
-		return walRecord{}, 0, false
-	}
-	rec.edges = decodeEdges(payload[12:], count)
-	rec.size = int64(walFrameBytes + n)
-	return rec, walFrameBytes + n, true
+	return true
 }
 
-// decodeRecordV2 parses one v2 framed record (edge batch or tombstone).
-func decodeRecordV2(data []byte) (walRecord, int, bool) {
+// decodeRecords decodes the records behind a segment's magic, stopping at
+// the first frame that does not decode; end is the offset it stopped at.
+func decodeRecords(seg []byte) (recs []walRecord, end int) {
+	end = len(walMagic)
+	for end < len(seg) {
+		rec, n, ok := decodeRecord(seg[end:])
+		if !ok {
+			break
+		}
+		recs = append(recs, rec)
+		end += n
+	}
+	return recs, end
+}
+
+// decodeRecord parses one framed record from the head of data, reporting
+// its framed size. ok is false for a torn, checksum-failing, or malformed
+// record.
+func decodeRecord(data []byte) (walRecord, int, bool) {
 	if len(data) < walFrameBytes {
 		return walRecord{}, 0, false
 	}
@@ -302,31 +291,25 @@ func decodeRecordV2(data []byte) (walRecord, int, bool) {
 		kind:    binary.LittleEndian.Uint32(payload[8:]),
 	}
 	count := int(binary.LittleEndian.Uint32(payload[12:]))
-	body := 16
+	if rec.kind != recEdges && rec.kind != recTombstone && rec.kind != recEpochFence {
+		return walRecord{}, 0, false
+	}
+	prefix := payloadPrefix(rec.kind)
+	// A fence never carries edges; a non-zero count is malformed.
+	if n < prefix || (rec.kind == recEpochFence && count != 0) {
+		return walRecord{}, 0, false
+	}
 	switch rec.kind {
-	case recEdges:
 	case recTombstone:
-		if n < 32 {
-			return walRecord{}, 0, false
-		}
 		rec.mark.Version = binary.LittleEndian.Uint64(payload[16:])
 		rec.mark.Wall = int64(binary.LittleEndian.Uint64(payload[24:]))
-		body = 32
 	case recEpochFence:
-		// A fence never carries edges; a non-zero count is malformed.
-		if n < 24 || count != 0 {
-			return walRecord{}, 0, false
-		}
 		rec.epoch = binary.LittleEndian.Uint64(payload[16:])
-		body = 24
-	default:
+	}
+	if prefix+8*count != n || rec.version == 0 {
 		return walRecord{}, 0, false
 	}
-	if body+8*count != n || rec.version == 0 {
-		return walRecord{}, 0, false
-	}
-	rec.edges = decodeEdges(payload[body:], count)
-	rec.size = int64(walFrameBytes + n)
+	rec.edges = decodeEdges(payload[prefix:], count)
 	return rec, walFrameBytes + n, true
 }
 
@@ -341,24 +324,17 @@ func decodeEdges(data []byte, count int) []bipartite.Edge {
 	return edges
 }
 
-// encodeRecord frames one v2 record into buf (grown as needed), returning
-// the framed bytes. Tombstones carry the watermark, and epoch fences the
-// epoch, after the version/kind prefix.
+// encodeRecord frames one record into buf (grown as needed), returning the
+// framed bytes. Tombstones carry the watermark, and epoch fences the epoch,
+// after the version/kind prefix.
 func encodeRecord(buf *[]byte, r walRecord) []byte {
-	body := 16
-	switch r.kind {
-	case recTombstone:
-		body = 32
-	case recEpochFence:
-		body = 24
-	}
-	payloadLen := body + 8*len(r.edges)
-	total := walFrameBytes + payloadLen
+	prefix := payloadPrefix(r.kind)
+	total := int(r.frameSize())
 	if cap(*buf) < total {
 		*buf = make([]byte, total)
 	}
 	b := (*buf)[:total]
-	binary.LittleEndian.PutUint32(b, uint32(payloadLen))
+	binary.LittleEndian.PutUint32(b, uint32(total-walFrameBytes))
 	payload := b[walFrameBytes:]
 	binary.LittleEndian.PutUint64(payload, r.version)
 	binary.LittleEndian.PutUint32(payload[8:], r.kind)
@@ -371,8 +347,8 @@ func encodeRecord(buf *[]byte, r walRecord) []byte {
 		binary.LittleEndian.PutUint64(payload[16:], r.epoch)
 	}
 	for i, e := range r.edges {
-		binary.LittleEndian.PutUint32(payload[body+8*i:], e.U)
-		binary.LittleEndian.PutUint32(payload[body+8*i+4:], e.V)
+		binary.LittleEndian.PutUint32(payload[prefix+8*i:], e.U)
+		binary.LittleEndian.PutUint32(payload[prefix+8*i+4:], e.V)
 	}
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
 	return b
@@ -544,8 +520,7 @@ func (w *wal) truncateTo(version uint64) error {
 // is crash-safe: the survivors are written to a .tmp sibling, synced, and
 // renamed over the original — a crash leaves either the whole old segment or
 // the compacted one, both of which scan cleanly and replay identically
-// (covered records are skipped by replay anyway). The output is always
-// format v2, which is how legacy v1 segments age out of a mixed directory.
+// (covered records are skipped by replay anyway).
 func (w *wal) compactSegmentLocked(seg *segMeta, version uint64) error {
 	recs, _, _, err := scanSegment(seg.path, false, w.logf)
 	if err != nil {

@@ -96,28 +96,18 @@ func TestWALSegmentRotationAndTruncation(t *testing.T) {
 // segment, from the decoded record sizes.
 func lastRecordRange(t *testing.T, data []byte) (start, end int) {
 	t.Helper()
-	off := 0
-	if len(data) >= len(walMagic) && [8]byte(data[:8]) == walMagic {
-		off = len(walMagic)
+	recs, end := decodeRecords(data)
+	if len(recs) == 0 || end != len(data) {
+		t.Fatalf("pristine WAL does not decode: %d records, stopped at %d of %d bytes", len(recs), end, len(data))
 	}
-	for off < len(data) {
-		_, n, ok := decodeRecordV2(data[off:])
-		if !ok {
-			t.Fatalf("pristine WAL does not decode at offset %d", off)
-		}
-		start, end = off, off+n
-		off += n
-	}
-	if end != len(data) {
-		t.Fatalf("pristine WAL has trailing bytes: %d != %d", end, len(data))
-	}
-	return start, end
+	return end - int(recs[len(recs)-1].frameSize()), end
 }
 
 // TestWALTornTailByteByByte is the crash matrix: for every truncation point
-// and every flipped byte inside the final record, recovery must come back
-// with exactly the fully-acknowledged prefix, warn, and stay appendable —
-// never refuse to start.
+// and every flipped byte inside the final record — and for every way a crash
+// can tear the magic of a freshly rotated segment — recovery must come back
+// with exactly the fully-acknowledged prefix, warn, truncate the final
+// segment to it, and stay appendable — never refuse to start.
 func TestWALTornTailByteByByte(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
@@ -133,17 +123,30 @@ func TestWALTornTailByteByByte(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := segPath(dir, 1)
+	seg, next := segPath(dir, 1), segPath(dir, 2)
 	pristine, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start, end := lastRecordRange(t, pristine)
 
-	check := func(name string, content []byte) {
+	// check writes content as segment 1 and, when fresh is non-nil, fresh as
+	// a final segment 2.
+	check := func(name string, content, fresh []byte) {
 		t.Helper()
 		if err := os.WriteFile(seg, content, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		final, wantSize := seg, int64(start)
+		if fresh == nil {
+			if err := os.Remove(next); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+		} else {
+			if err := os.WriteFile(next, fresh, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			final, wantSize = next, 0
 		}
 		w, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
 		if err != nil {
@@ -160,6 +163,9 @@ func TestWALTornTailByteByByte(t *testing.T) {
 				t.Fatalf("%s: record %d has version %d", name, i, r.version)
 			}
 		}
+		if size := fileSize(t, final); size != wantSize {
+			t.Fatalf("%s: final segment truncated to %d bytes, want %d", name, size, wantSize)
+		}
 		// The log must remain appendable after truncation.
 		if _, err := w.append(walRecord{kind: recEdges, version: uint64(full), edges: edgesN(999, 1)}); err != nil {
 			t.Fatalf("%s: append after truncation: %v", name, err)
@@ -169,13 +175,20 @@ func TestWALTornTailByteByByte(t *testing.T) {
 		}
 	}
 
+	// A crash right after rotation leaves the fresh segment holding part of
+	// its magic, or zeros the filesystem exposed before the data landed.
+	for cut := 1; cut < len(walMagic); cut++ {
+		check("torn magic", pristine[:start], walMagic[:cut])
+	}
+	check("zero header", pristine[:start], make([]byte, len(walMagic)))
+
 	for cut := start + 1; cut < end; cut++ {
-		check("truncate", append([]byte(nil), pristine[:cut]...))
+		check("truncate", append([]byte(nil), pristine[:cut]...), nil)
 	}
 	for i := start; i < end; i++ {
 		mut := append([]byte(nil), pristine...)
 		mut[i] ^= 0x5a
-		check("flip", mut)
+		check("flip", mut, nil)
 	}
 
 	// A clean cut exactly at a record boundary is not torn.
@@ -190,36 +203,51 @@ func TestWALTornTailByteByByte(t *testing.T) {
 
 // TestWALRefusesSealedCorruption pins the other half of the policy: a
 // corrupt record in a sealed (non-final) segment holds acknowledged data and
-// must refuse recovery rather than silently dropping it.
+// must refuse recovery rather than silently dropping it. So must a segment
+// whose magic is missing — a headerless v1 segment, no longer read — in the
+// sealed and in the final position alike; each refusal names the file.
 func TestWALRefusesSealedCorruption(t *testing.T) {
-	dir := t.TempDir()
-	w, _, _, err := openWAL(dir, 40, true, testLogf(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := uint64(1); v <= 3; v++ {
-		if _, err := w.append(walRecord{kind: recEdges, version: v, edges: edgesN(int(v)*10, 2)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if segs, _ := w.diskStats(); segs < 2 {
-		t.Fatalf("setup needs multiple segments, got %d", segs)
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-	first := segPath(dir, 1)
-	data, err := os.ReadFile(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(first, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = openWAL(dir, 40, true, testLogf(t), nil)
-	if err == nil || !strings.Contains(err.Error(), "refusing") {
-		t.Fatalf("sealed-segment corruption: err = %v, want refusal", err)
+	stripMagic := func(b []byte) []byte { return b[len(walMagic):] }
+	for _, tc := range []struct {
+		name   string
+		index  uint64 // segment to damage; 3 is the final one
+		damage func([]byte) []byte
+		want   string
+	}{
+		{"flipped sealed record", 1, func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, "refusing"},
+		{"headerless sealed", 1, stripMagic, "headerless v1 segments are no longer read"},
+		{"headerless final", 3, stripMagic, "headerless v1 segments are no longer read"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, _, _, err := openWAL(dir, 40, true, testLogf(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := uint64(1); v <= 3; v++ {
+				if _, err := w.append(walRecord{kind: recEdges, version: v, edges: edgesN(int(v)*10, 2)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if segs, _ := w.diskStats(); segs != 3 {
+				t.Fatalf("setup needs one record in each of 3 segments, got %d segments", segs)
+			}
+			if err := w.close(); err != nil {
+				t.Fatal(err)
+			}
+			path := segPath(dir, tc.index)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err = openWAL(dir, 40, true, testLogf(t), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), filepath.Base(path)) {
+				t.Fatalf("err = %v, want a refusal naming %s: %q", err, filepath.Base(path), tc.want)
+			}
+		})
 	}
 }
 

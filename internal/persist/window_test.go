@@ -2,8 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,50 +11,6 @@ import (
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/stream"
 )
-
-// --- legacy-format fixtures -------------------------------------------------
-
-// v1Record frames one legacy (headerless, kind-less) WAL record.
-func v1Record(version uint64, edges []bipartite.Edge) []byte {
-	payload := make([]byte, 12+8*len(edges))
-	binary.LittleEndian.PutUint64(payload, version)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(len(edges)))
-	for i, e := range edges {
-		binary.LittleEndian.PutUint32(payload[12+8*i:], e.U)
-		binary.LittleEndian.PutUint32(payload[16+8*i:], e.V)
-	}
-	out := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
-}
-
-// writeV1Snapshot writes a format-1 snapshot file exactly as the
-// pre-windowing code laid it out: 20-byte header (magic, format, graph
-// version), header CRC, CSR blob.
-func writeV1Snapshot(t *testing.T, dir string, g *bipartite.Graph, version uint64) {
-	t.Helper()
-	var buf bytes.Buffer
-	var hdr [20]byte
-	copy(hdr[:8], snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], snapFormatV1)
-	binary.LittleEndian.PutUint64(hdr[12:], version)
-	buf.Write(hdr[:])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(hdr[:], castagnoli))
-	buf.Write(crc[:])
-	if err := bipartite.WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath(dir, version), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- tests ------------------------------------------------------------------
 
 // TestWindowedCrashRecoveryByteIdentical is the windowed acceptance pin: a
 // run that interleaves durable appends with retire passes (tombstones in the
@@ -164,82 +118,6 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestMixedV1V2Recovery boots from a hand-crafted legacy state — a format-1
-// snapshot plus headerless v1 WAL segments — layers windowed v2 traffic
-// (appends and tombstones) on top, crashes, and requires recovery across
-// shard counts {1, 4, 16} to reproduce the crashed run's CSR and votes
-// byte-for-byte. This is the upgrade path: a daemon restarted onto the new
-// binary with old data on disk.
-func TestMixedV1V2Recovery(t *testing.T) {
-	seedDir := t.TempDir()
-
-	// Legacy state: snapshot at version 3 over batches 0..2, v1 segments
-	// carrying versions 4 and 5.
-	batches := randomBatches(77, 8, 25)
-	base := stream.NewSharded(1)
-	base.Append(batches[0])
-	base.Append(batches[1])
-	base.Append(batches[2])
-	baseSnap, baseVer := base.Snapshot()
-	if baseVer != 3 {
-		t.Fatalf("setup: base version %d", baseVer)
-	}
-	writeV1Snapshot(t, filepath.Join(seedDir, "snap"), baseSnap, baseVer)
-	walDir := filepath.Join(seedDir, "wal")
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	seg1 := v1Record(4, batches[3])
-	if err := os.WriteFile(segPath(walDir, 1), seg1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seg2 := v1Record(5, batches[4])
-	if err := os.WriteFile(segPath(walDir, 2), seg2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Boot the legacy directory, then run windowed v2 traffic on top.
-	st, g, rec := openDurable(t, seedDir, 4, Options{Fsync: FsyncAlways})
-	if rec.SnapshotVersion != 3 || rec.ReplayedRecords != 2 {
-		t.Fatalf("legacy boot: %+v", rec)
-	}
-	g.SetWindow(stream.WindowPolicy{MaxVersions: 4})
-	for i := 5; i < 8; i++ {
-		if res := g.Append(batches[i]); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res := g.Retire(time.Now()); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	if g.WindowStats().RetiredEdges == 0 {
-		t.Fatal("setup: window never retired")
-	}
-	liveSnap, liveVer := g.Snapshot()
-	liveVotes := votes(t, liveSnap)
-	_ = st // crash: no Close
-
-	for _, shards := range []int{1, 4, 16} {
-		cp := t.TempDir()
-		copyTree(t, seedDir, cp)
-		st2, g2, rec2 := openDurable(t, cp, shards, Options{Fsync: FsyncAlways})
-		if g2.Version() != liveVer {
-			t.Fatalf("shards=%d: version %d, want %d", shards, g2.Version(), liveVer)
-		}
-		if rec2.ReplayedTombstones == 0 {
-			t.Fatalf("shards=%d: no tombstones replayed: %+v", shards, rec2)
-		}
-		gotSnap, _ := g2.Snapshot()
-		if !bytes.Equal(csrBytes(t, gotSnap), csrBytes(t, liveSnap)) {
-			t.Fatalf("shards=%d: mixed v1/v2 recovery diverged from the live run", shards)
-		}
-		if !reflect.DeepEqual(votes(t, gotSnap), liveVotes) {
-			t.Fatalf("shards=%d: votes diverged", shards)
-		}
-		st2.Close()
-	}
-}
-
 // TestCrashBetweenRetireJournalAndSnapshot is the satellite regression for
 // the retire/commit interaction: a tombstone lands in the WAL, the process
 // dies before any snapshot covers it, and recovery must replay the
@@ -336,8 +214,7 @@ func TestSnapshotPersistsWindowMark(t *testing.T) {
 // TestWALCompactionDropsCoveredRecords pins the log-compaction satellite: a
 // sealed segment straddling the snapshot watermark is rewritten without the
 // covered records — instead of surviving whole — and the rewrite still
-// replays the uncovered tail. A legacy v1 segment compacts the same way
-// (and comes out v2).
+// replays the uncovered tail.
 func TestWALCompactionDropsCoveredRecords(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
 		dir := t.TempDir()
@@ -356,8 +233,7 @@ func TestWALCompactionDropsCoveredRecords(t *testing.T) {
 		if err := w.truncateTo(3); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, fsyncs, compactions, reclaimed := w.counters()
-		_ = fsyncs
+		_, _, _, _, compactions, reclaimed := w.counters()
 		if compactions != 1 || reclaimed == 0 {
 			t.Fatalf("compactions=%d reclaimed=%d, want one compaction reclaiming bytes", compactions, reclaimed)
 		}
@@ -377,43 +253,6 @@ func TestWALCompactionDropsCoveredRecords(t *testing.T) {
 		}
 		if len(got) != 2 || got[4] != 4 || got[5] != 4 {
 			t.Fatalf("post-compaction records = %v, want versions 4 and 5 intact", got)
-		}
-	})
-
-	t.Run("v1 segment", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		seg := append(v1Record(1, edgesN(0, 3)), v1Record(2, edgesN(10, 3))...)
-		seg = append(seg, v1Record(3, edgesN(20, 3))...)
-		if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		w, recs, _, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
-		if err != nil || len(recs) != 3 {
-			t.Fatalf("v1 boot: recs=%d err=%v", len(recs), err)
-		}
-		if err := w.truncateTo(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.close(); err != nil {
-			t.Fatal(err)
-		}
-		// The rewritten segment is v2 now and holds only versions 2 and 3.
-		data, err := os.ReadFile(segPath(dir, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if [8]byte(data[:8]) != walMagic {
-			t.Fatal("compacted legacy segment did not upgrade to v2 framing")
-		}
-		_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
-		if err != nil || torn || len(recs) != 2 {
-			t.Fatalf("reopen: recs=%d torn=%v err=%v", len(recs), torn, err)
-		}
-		if recs[0].version != 2 || recs[1].version != 3 {
-			t.Fatalf("surviving versions: %d, %d", recs[0].version, recs[1].version)
 		}
 	})
 }

@@ -921,7 +921,7 @@ func downloadAttempt(ctx context.Context, client *http.Client, base, dataDir str
 		}
 	}
 	for i, seg := range m.Segments {
-		exact := i < len(m.Segments)-1 || seg.Legacy // only the final (active) segment may grow
+		exact := i < len(m.Segments)-1 // only the final (active) segment may grow
 		if err := fetch("segment", seg.Name, filepath.Join(dataDir, "wal", seg.Name), seg.Bytes, exact); err != nil {
 			return err
 		}
