@@ -1,6 +1,8 @@
 package fdet
 
 import (
+	"math"
+
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/indexheap"
 	"ensemfdet/internal/scratch"
@@ -36,8 +38,16 @@ type peeler struct {
 	uAdj, mAdj []uint32
 	uEid, mEid []int32
 
-	userPrio          []float64
+	// Per-round deletion state, indexed by node id (users 0..nu-1, then
+	// merchant v at nu+v). prio holds every alive node's starting priority;
+	// run holds the alive nodes sorted by (priority, id), with runTmp and
+	// digits as the radix sort's scratch; inRun marks the nodes the run
+	// still answers for, and heap holds the others until they are popped.
+	prio              []float64
 	userDeg, merchDeg []int32
+	inRun             []bool
+	run, runTmp       []runEntry
+	digits            [6][1 << radixBits]int32
 	heap              indexheap.Heap
 	order             []int32
 	phis              []float64
@@ -113,10 +123,12 @@ func (p *peeler) reset(g *bipartite.Graph, weights []float64) {
 // Priorities are the removal cost of a node: for a user, the summed weight
 // of its alive edges; for a merchant, its alive degree times its weight.
 // Removing the node subtracts exactly its priority from the total weighted
-// edge mass, so φ can be maintained incrementally in O(1) per deletion plus
-// O(deg log n) heap updates — the structure that yields the paper's
-// O(kˆ|E| log(|U|+|V|)) bound. The round's scans touch only alive edges:
-// the stable compaction below drops edges killed by earlier blocks exactly
+// edge mass, so φ can be maintained incrementally in O(1) per deletion. The
+// minimum comes from deleteAll's presorted run (O(1) per pop) or its
+// decrease-heap (O(log n) per pop and per neighbor decrement), so a round
+// costs at most O(|E| log(|U|+|V|)) — the paper's O(kˆ|E| log(|U|+|V|))
+// bound over kˆ rounds. The round's scans touch only alive edges: the
+// stable compaction below drops edges killed by earlier blocks exactly
 // once, instead of re-skipping them every subsequent round.
 func (p *peeler) peelOnce() (blockRef, bool) {
 	if p.aliveEdges == 0 {
@@ -125,7 +137,7 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 	g := p.g
 	nu, nm := g.NumUsers(), g.NumMerchants()
 
-	userPrio := scratch.Grow(&p.userPrio, nu)
+	prio := scratch.Grow(&p.prio, nu+nm)
 	userDeg := scratch.Grow(&p.userDeg, nu)
 	merchDeg := scratch.GrowZero(&p.merchDeg, nm)
 
@@ -139,7 +151,7 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 	for u := 0; u < nu; u++ {
 		end := p.uOff[u+1]
 		p.uOff[u] = w
-		prio := 0.0
+		sum := 0.0
 		deg := int32(0)
 		for i := start; i < end; i++ {
 			eid := p.uEid[i]
@@ -151,12 +163,12 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 			p.uEid[w] = eid
 			w++
 			wv := p.w[v]
-			prio += wv
+			sum += wv
 			total += wv
 			deg++
 			merchDeg[v]++
 		}
-		userPrio[u] = prio
+		prio[u] = sum
 		userDeg[u] = deg
 		start = end
 	}
@@ -181,23 +193,11 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 	}
 	p.mOff[nm] = wm
 
-	nodesAlive := 0
-	for u := 0; u < nu; u++ {
-		if userDeg[u] > 0 {
-			nodesAlive++
-		}
-	}
-	for v := 0; v < nm; v++ {
-		if merchDeg[v] > 0 {
-			nodesAlive++
-		}
-	}
-
 	// Simulate the full deletion sequence, recording φ after t deletions.
 	// phis[0] is the intact alive graph (H_n in Algorithm 1). Neighbor
 	// scans need no liveness checks: every compacted entry is alive for the
 	// whole round (edges die only between rounds).
-	p.deleteAll(nu, nm, total, nodesAlive)
+	p.deleteAll(nu, nm, total)
 	order, phis := p.order, p.phis
 
 	// Best suffix: earliest argmax keeps the largest qualifying subgraph and
@@ -256,46 +256,77 @@ func (p *peeler) peelOnce() (blockRef, bool) {
 	return ref, true
 }
 
-// deleteAll runs the deletion sequence on the index heap: float
-// priorities, O(log V) per pop and per neighbor decrement. The heap is bulk
-// built (Floyd) — construction order cannot leak into the result because
-// pops follow the (priority, id) total order regardless of layout.
-func (p *peeler) deleteAll(nu, nm int, total float64, nodesAlive int) {
-	h := &p.heap
-	h.Reset(nu + nm)
+// deleteAll runs the deletion sequence and fills p.order and p.phis. Every
+// alive node starts in a presorted run: its starting (priority, id), radix
+// sorted once per round, which a cursor pops in O(1). A node whose priority
+// changes leaves the run for the decrease-heap, entering at its starting
+// priority plus the delta — the float operation the heap applies to every
+// later change — so only changed nodes pay O(log n) per pop and update.
+// Each pop takes the smaller of the run's head and the heap's top under the
+// heap's (priority, lowest id) order, so the deletion sequence is the one a
+// single heap over all nodes would produce, bit for bit.
+func (p *peeler) deleteAll(nu, nm int, total float64) {
+	n := nu + nm
+	prio := p.prio
+	inRun := scratch.Grow(&p.inRun, n)
+	run := scratch.Grow(&p.run, n)[:0]
 	for u := 0; u < nu; u++ {
-		if p.userDeg[u] > 0 {
-			h.PushUnordered(u, p.userPrio[u])
+		if inRun[u] = p.userDeg[u] > 0; inRun[u] {
+			run = append(run, runEntry{orderKey(prio[u]), int32(u)})
 		}
 	}
 	for v := 0; v < nm; v++ {
-		if p.merchDeg[v] > 0 {
-			h.PushUnordered(nu+v, float64(p.merchDeg[v])*p.w[v])
+		id := nu + v
+		if inRun[id] = p.merchDeg[v] > 0; inRun[id] {
+			prio[id] = float64(p.merchDeg[v]) * p.w[v]
+			run = append(run, runEntry{orderKey(prio[id]), int32(id)})
 		}
 	}
-	h.Heapify()
+	// Appending in ascending id order and sorting stably leaves ties in id
+	// order: the run is sorted by (priority, id).
+	run = sortRun(run, scratch.Grow(&p.runTmp, len(run)), &p.digits)
+	h := &p.heap
+	h.Reset(n)
 
 	order := p.order[:0]
 	phis := p.phis[:0]
-	phis = append(phis, total/float64(nodesAlive))
-	left := nodesAlive
-	for h.Len() > 0 {
-		id, prio := h.Pop()
+	phis = append(phis, total/float64(len(run)))
+	cur := 0
+	for left := len(run) - 1; left >= 0; left-- {
+		for cur < len(run) && !inRun[run[cur].id] {
+			cur++ // moved to the heap
+		}
+		fromRun := cur < len(run)
+		var id int
+		var pr float64
+		if fromRun {
+			id = int(run[cur].id)
+			pr = prio[id]
+		}
+		if h.Len() > 0 {
+			if hid, hp := h.Peek(); !fromRun || hp < pr || hp == pr && hid < id {
+				id, pr = h.Pop()
+				fromRun = false
+			}
+		}
+		if fromRun {
+			inRun[id] = false
+			cur++
+		}
 		order = append(order, int32(id))
-		total -= prio
-		left--
+		total -= pr
 		if id < nu {
 			s, e := p.uOff[id], p.uOff[id+1]
 			for i := s; i < e; i++ {
 				v := int(p.uAdj[i])
-				h.AddIfPresent(nu+v, -p.w[v])
+				p.lower(nu+v, -p.w[v])
 			}
 		} else {
 			v := id - nu
 			wv := p.w[v]
 			s, e := p.mOff[v], p.mOff[v+1]
 			for i := s; i < e; i++ {
-				h.AddIfPresent(int(p.mAdj[i]), -wv)
+				p.lower(int(p.mAdj[i]), -wv)
 			}
 		}
 		if left > 0 {
@@ -305,6 +336,84 @@ func (p *peeler) deleteAll(nu, nm int, total float64, nodesAlive int) {
 		}
 	}
 	p.order, p.phis = order, phis
+}
+
+// lower adds delta to the priority of node x, a neighbor of the node just
+// deleted. Its first change moves it from the run into the heap; a node
+// already deleted is in neither and stays untouched.
+func (p *peeler) lower(x int, delta float64) {
+	if p.inRun[x] {
+		p.inRun[x] = false
+		p.heap.Push(x, p.prio[x]+delta)
+	} else {
+		p.heap.AddIfPresent(x, delta)
+	}
+}
+
+// runEntry is one node of the presorted run: the order key of its starting
+// priority, and its id.
+type runEntry struct {
+	key uint64
+	id  int32
+}
+
+// orderKey maps a priority to a uint64 whose unsigned order is the
+// priority's float order: flip every bit of a negative, only the sign bit
+// of a non-negative. −0 is keyed as +0, because the heap's comparison
+// treats them as equal and breaks the tie by id.
+func orderKey(prio float64) uint64 {
+	if prio == 0 {
+		prio = 0
+	}
+	b := math.Float64bits(prio)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixBits is the digit width of sortRun: six passes of 11 bits cover a
+// 64-bit key with a 48 KB count table.
+const radixBits = 11
+
+// sortRun stably sorts run by key with an LSD radix sort, using tmp (same
+// length) and digits as scratch, and returns whichever of the two holds the
+// result. A pass is skipped when every key has the same digit in it.
+func sortRun(run, tmp []runEntry, digits *[6][1 << radixBits]int32) []runEntry {
+	if len(run) < 2 {
+		return run
+	}
+	const mask = 1<<radixBits - 1
+	*digits = [6][1 << radixBits]int32{}
+	for _, e := range run {
+		k := e.key
+		digits[0][k&mask]++
+		digits[1][k>>radixBits&mask]++
+		digits[2][k>>(2*radixBits)&mask]++
+		digits[3][k>>(3*radixBits)&mask]++
+		digits[4][k>>(4*radixBits)&mask]++
+		digits[5][k>>(5*radixBits)]++
+	}
+	first := run[0].key
+	for d := range digits {
+		count := &digits[d]
+		shift := radixBits * d
+		if count[first>>shift&mask] == int32(len(run)) {
+			continue
+		}
+		next := int32(0)
+		for b, c := range count {
+			count[b] = next
+			next += c
+		}
+		for _, e := range run {
+			b := e.key >> shift & mask
+			tmp[count[b]] = e
+			count[b]++
+		}
+		run, tmp = tmp, run
+	}
+	return run
 }
 
 // block materializes ref against the (final) membership arrays. Full slice

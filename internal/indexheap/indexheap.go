@@ -1,8 +1,11 @@
 // Package indexheap provides an indexed min-heap over the node ids of a
-// graph, supporting O(log n) decrease/increase-key by id. It is the
-// "minimal heap" the paper relies on for FDET's O(kˆ|E| log(|U|+|V|)) bound
-// (§IV-B): greedy peeling repeatedly pops the minimum-priority node and
-// lowers the priorities of its neighbours.
+// graph, supporting O(log n) push, pop and change-key by id. It is the
+// "minimal heap" behind FDET's O(kˆ|E| log(|U|+|V|)) bound (§IV-B): greedy
+// peeling repeatedly pops the minimum-priority node and lowers the
+// priorities of its neighbours. The FDET peeler pops unchanged nodes from a
+// presorted run in O(1) and keeps only the nodes whose priority changed in
+// this heap, so its API is what that decrease-heap calls: Reset, Push, Peek,
+// Pop and AddIfPresent.
 //
 // The heap is 4-ary with (priority, id) stored inline in the heap slots: a
 // sift compares against up to four children that share one or two cache
@@ -57,40 +60,15 @@ func (h *Heap) Reset(capacity int) {
 // Len returns the number of ids currently in the heap.
 func (h *Heap) Len() int { return h.count }
 
-// Contains reports whether id is in the heap.
-func (h *Heap) Contains(id int) bool { return h.pos[id] != absent }
-
-// Priority returns the current priority of id. It must be in the heap.
-func (h *Heap) Priority(id int) float64 { return h.slots[h.pos[id]].prio }
-
 // Push inserts id with the given priority. It panics if id is already
-// present; use Update to change an existing priority.
+// present.
 func (h *Heap) Push(id int, priority float64) {
-	h.PushUnordered(id, priority)
-	h.up(h.count - 1)
-}
-
-// PushUnordered appends id without restoring heap order. It exists for bulk
-// builds: n PushUnordered calls followed by one Heapify cost O(n) instead of
-// the O(n log n) of n ordered Pushes. The heap must not be read between the
-// first PushUnordered and the Heapify.
-func (h *Heap) PushUnordered(id int, priority float64) {
 	if h.pos[id] != absent {
 		panic("indexheap: Push of id already in heap")
 	}
-	h.pos[id] = int32(h.count)
 	h.slots = append(h.slots, slot{prio: priority, id: int32(id)})
 	h.count++
-}
-
-// Heapify restores heap order after a bulk of PushUnordered calls using
-// Floyd's bottom-up construction. The resulting pop sequence is identical to
-// that of ordered Pushes: pops follow the (priority, id) total order, which
-// does not depend on the heap's internal layout.
-func (h *Heap) Heapify() {
-	for i := (h.count - 2) >> 2; i >= 0; i-- {
-		h.down(i)
-	}
+	h.up(h.count - 1)
 }
 
 // Pop removes and returns the id with minimum priority and that priority.
@@ -120,36 +98,8 @@ func (h *Heap) Peek() (id int, priority float64) {
 	return int(h.slots[0].id), h.slots[0].prio
 }
 
-// Update changes the priority of id, restoring heap order in O(log n).
-// It panics if id is not in the heap.
-func (h *Heap) Update(id int, priority float64) {
-	i := h.pos[id]
-	if i == absent {
-		panic("indexheap: Update of id not in heap")
-	}
-	old := h.slots[i].prio
-	h.slots[i].prio = priority
-	switch {
-	case priority < old:
-		h.up(int(i))
-	case priority > old:
-		h.down(int(i))
-	}
-}
-
-// Add increments the priority of id by delta (delta may be negative). It
-// panics if id is not in the heap.
-func (h *Heap) Add(id int, delta float64) {
-	i := h.pos[id]
-	if i == absent {
-		panic("indexheap: Add of id not in heap")
-	}
-	h.addAt(int(i), delta)
-}
-
-// AddIfPresent increments the priority of id by delta when id is in the
-// heap, fusing the peeler's Contains+Add pair into a single pos lookup. It
-// reports whether id was present.
+// AddIfPresent increments the priority of id by delta (which may be
+// negative) when id is in the heap, and reports whether it was.
 func (h *Heap) AddIfPresent(id int, delta float64) bool {
 	i := h.pos[id]
 	if i == absent {
@@ -166,24 +116,6 @@ func (h *Heap) addAt(i int, delta float64) {
 		h.up(i)
 	case delta > 0:
 		h.down(i)
-	}
-}
-
-// Remove deletes id from the heap regardless of its position.
-func (h *Heap) Remove(id int) {
-	i := int(h.pos[id])
-	if i == int(absent) {
-		panic("indexheap: Remove of id not in heap")
-	}
-	h.count--
-	last := h.slots[h.count]
-	h.slots = h.slots[:h.count]
-	h.pos[id] = absent
-	if i < h.count {
-		h.slots[i] = last
-		h.pos[last.id] = int32(i)
-		h.down(i)
-		h.up(i)
 	}
 }
 

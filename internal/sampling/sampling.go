@@ -11,8 +11,8 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/scratch"
@@ -146,8 +146,7 @@ func SampleInto(m Method, g *bipartite.Graph, ratio float64, rng *rand.Rand, s *
 	switch m := m.(type) {
 	case RandomEdge:
 		n := g.NumEdges()
-		idx := s.sampleIndices(n, sampleCount(n, ratio), rng)
-		sort.Ints(idx)
+		idx := s.ascending(s.sampleIndices(n, sampleCount(n, ratio), rng))
 		// The sorted draw is the canonical (user-major) edge-id list; the
 		// arena build walks it straight into CSR rows with no intermediate
 		// edge list.
@@ -197,6 +196,21 @@ func (s *Scratch) sampleIndices(n, m int, rng *rand.Rand) []int {
 	}
 	s.idx = out
 	return out
+}
+
+// ascending rewrites idx, the draw sampleIndices just made, as the same ids
+// in ascending order: it sweeps the chosen-set's set bits word by word,
+// lowest bit first, and stops at the last drawn id. The set of ids, and so
+// the words the next draw clears, is unchanged.
+func (s *Scratch) ascending(idx []int) []int {
+	k := 0
+	for w := 0; k < len(idx); w++ {
+		for word := s.chosenBits[w]; word != 0; word &= word - 1 {
+			idx[k] = w<<6 + bits.TrailingZeros64(word)
+			k++
+		}
+	}
+	return idx
 }
 
 // LastDraw exposes the node ids the most recent SampleInto drew, for callers
