@@ -18,9 +18,11 @@
 // batch that adds at least one edge bumps one atomic counter, and appends
 // run under the read half of a commit lock whose write half lets the
 // snapshot path capture a consistent cut — an edge is visible to a capture
-// iff its batch's version bump is. Every log entry is stamped with the
-// version and wall time its batch committed as; the stamps are what the
-// window policy (window.go) ages edges by.
+// iff its batch's version bump is. A shard log is a plain edge array plus a
+// run table: each batch that adds edges to a shard appends one stamp row
+// covering the entries it appended, carrying the version and wall time the
+// batch committed as. An edge costs 8 bytes and a (batch, shard) run 24 more,
+// and the rows are what the window policy (window.go) ages edges by.
 //
 // # Incremental snapshots with deletions
 //
@@ -81,11 +83,18 @@ const deltaRebuildDenominator = 4
 // not pin O(|E|) scratch on a graph that thereafter only does delta builds.
 const fullBuildKeepCap = 1 << 16
 
-// logEntry is one live edge in a shard log, stamped with the version and
-// wall time of the batch that ingested it. The stamps drive the window
-// policy: age in versions compares ver, age in wall time compares at.
-type logEntry struct {
-	e   bipartite.Edge
+// stampRun is one row of a shard's run table: the entries from the previous
+// row's end up to end were appended by one batch, which committed as version
+// ver at wall time at. The stamps drive the window policy: age in versions
+// compares ver, age in wall time compares at.
+//
+// Rows are reserved in append order, under the shard lock, and stamped when
+// the batch commits; two batches on one shard can commit out of append
+// order, so versions are not monotone along a shard's table. Rows are read
+// only under the commit lock's write half, when no batch is between its
+// append and its stamp, so a reader never sees a reserved, unstamped row.
+type stampRun struct {
+	end int
 	ver uint64
 	at  int64 // unix nanoseconds
 }
@@ -150,7 +159,7 @@ type Graph struct {
 	buildMu  sync.Mutex               // single-flights cold snapshot builds
 	snap     atomic.Pointer[snapshot] // published under buildMu, read lock-free
 	ext      *bipartite.ExtendBuilder // build arena, guarded by buildMu
-	logRefs  [][]logEntry             // capture scratch, guarded by buildMu
+	logRefs  [][]bipartite.Edge       // capture scratch, guarded by buildMu
 	insStart []int                    // capture scratch: per-shard baseline marks
 	edgeBuf  []bipartite.Edge         // delta/full concat scratch, guarded by buildMu
 
@@ -178,7 +187,10 @@ type shard struct {
 	// entries is the live log in append order. Appends only ever append;
 	// retire passes rewrite survivors into a fresh backing array (preserving
 	// order), so a captured view of the old array stays immutable.
-	entries []logEntry
+	entries []bipartite.Edge
+	// runs stamps entries: one row per (batch, shard), sorted by end, the
+	// last row ending at len(entries). See stampRun.
+	runs []stampRun
 	// snapMark is the baseline boundary: entries below it are contained in
 	// the latest captured snapshot, entries at or past it are the pending
 	// insert delta. Written by captures and retires (commitMu write half).
@@ -290,7 +302,7 @@ func (g *Graph) Restore(snap *bipartite.Graph, version uint64) error {
 // every delta build after it — starts from the recovered arrays instead of
 // rebuilding O(|E|) state.
 //
-// Restored edges are stamped with the snapshot's version and with wall (the
+// Restored edges share one stamp row: the snapshot's version and wall (the
 // time the snapshot was written; 0 falls back to now): their original
 // per-batch stamps are not persisted, so for windowing purposes the whole
 // recovered set is treated as ingested when the snapshot was cut. The window
@@ -323,9 +335,9 @@ func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		for j := range sh.entries {
-			sh.entries[j].ver = version
-			sh.entries[j].at = wall
+		sh.runs = sh.runs[:0]
+		if len(sh.entries) > 0 {
+			sh.runs = append(sh.runs, stampRun{end: len(sh.entries), ver: version, at: wall})
 		}
 		sh.snapMark = len(sh.entries)
 		sh.mu.Unlock()
@@ -356,12 +368,12 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 	var res AppendResult
 	var maxU, maxV int64 = -1, -1
 	if len(g.shards) == 1 {
-		start, added := g.shards[0].appendRun(edges, &res.Duplicates, &maxU, &maxV)
+		row, added := g.shards[0].appendRun(edges, &res.Duplicates, &maxU, &maxV)
 		res.Added = added
 		if res.Added > 0 {
 			g.numEdges.Add(int64(res.Added))
 			g.commitBatch(&res, edges, func(ver uint64) {
-				g.shards[0].stamp(start, res.Added, ver, at)
+				g.shards[0].stamp(row, ver, at)
 			})
 		}
 	} else {
@@ -371,7 +383,7 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 		// appends allocate nothing.
 		gs := g.groupScratch.Get().(*groupScratch)
 		grouped := gs.group(edges, g.mask)
-		starts := scratch.Grow(&gs.starts, len(g.shards))
+		rows := scratch.Grow(&gs.rows, len(g.shards))
 		added := scratch.Grow(&gs.added, len(g.shards))
 		for si := range g.shards {
 			added[si] = 0
@@ -379,18 +391,18 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 			if len(run) == 0 {
 				continue
 			}
-			start, n := g.shards[si].appendRun(run, &res.Duplicates, &maxU, &maxV)
+			row, n := g.shards[si].appendRun(run, &res.Duplicates, &maxU, &maxV)
 			if n > 0 {
 				g.numEdges.Add(int64(n))
 				res.Added += n
-				starts[si], added[si] = start, n
+				rows[si], added[si] = row, n
 			}
 		}
 		if res.Added > 0 {
 			g.commitBatch(&res, edges, func(ver uint64) {
 				for si := range g.shards {
 					if added[si] > 0 {
-						g.shards[si].stamp(starts[si], added[si], ver, at)
+						g.shards[si].stamp(rows[si], ver, at)
 					}
 				}
 			})
@@ -413,9 +425,9 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 }
 
 // commitBatch finishes an adding batch while still under the commit read
-// lock: it bumps the version, stamps the appended log entries with it (the
-// stamp callback re-takes each touched shard lock; the appended index ranges
-// are stable because retires need the commit write half), and tees the batch
+// lock: it bumps the version, stamps the batch's reserved run rows with it
+// (the stamp callback re-takes each touched shard lock; the row indices are
+// stable because retires need the commit write half), and tees the batch
 // into the journal. A snapshot capture at version V therefore never completes
 // before every batch with version ≤ V has been stamped and offered to the
 // log, which is what makes truncating the log at a snapshot's watermark safe.
@@ -433,21 +445,20 @@ func (g *Graph) commitBatch(res *AppendResult, edges []bipartite.Edge, stamp fun
 }
 
 // appendRun folds a slice of edges, all belonging to this shard (or the only
-// shard), into the shard under its lock, returning the log index the run
-// started at and the number of entries added. Entries are stamped later by
-// the batch commit, once the batch's version is known; the [start,
-// start+added) range stays valid because concurrent batches only append past
-// it and retire passes exclude appends entirely.
-func (s *shard) appendRun(run []bipartite.Edge, dups *int, maxU, maxV *int64) (start, added int) {
+// shard), into the shard under its lock. If any entry was added it reserves
+// the run-table row covering them and returns that row's index with the
+// number added; the batch commit stamps the row once the batch's version is
+// known. The index stays valid because concurrent batches only append rows
+// past it and retire passes exclude appends entirely.
+func (s *shard) appendRun(run []bipartite.Edge, dups *int, maxU, maxV *int64) (row, added int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start = len(s.entries)
 	for _, e := range run {
 		if !s.seen.Add(edgeKey(e)) {
 			*dups++
 			continue
 		}
-		s.entries = append(s.entries, logEntry{e: e})
+		s.entries = append(s.entries, e)
 		added++
 		if int64(e.U) > *maxU {
 			*maxU = int64(e.U)
@@ -456,29 +467,30 @@ func (s *shard) appendRun(run []bipartite.Edge, dups *int, maxU, maxV *int64) (s
 			*maxV = int64(e.V)
 		}
 	}
-	return start, added
+	if added == 0 {
+		return 0, 0
+	}
+	s.runs = append(s.runs, stampRun{end: len(s.entries)})
+	return len(s.runs) - 1, added
 }
 
-// stamp writes the batch's version and ingest time into the entries this
-// batch appended. The range [start, start+n) is stable: entries only ever
-// grow between retire passes, and retire passes exclude appends entirely.
-func (s *shard) stamp(start, n int, ver uint64, at int64) {
+// stamp writes the batch's version and ingest time into the row appendRun
+// reserved for it.
+func (s *shard) stamp(row int, ver uint64, at int64) {
 	s.mu.Lock()
-	for i := start; i < start+n; i++ {
-		s.entries[i].ver = ver
-		s.entries[i].at = at
-	}
+	s.runs[row].ver = ver
+	s.runs[row].at = at
 	s.mu.Unlock()
 }
 
 // groupScratch is reusable per-append grouping state: a shard-major
-// permutation of the batch plus the run offsets and per-shard stamp ranges.
+// permutation of the batch plus the run offsets and per-shard stamp rows.
 type groupScratch struct {
-	buf    []bipartite.Edge
-	off    []int // len shards+1 after group; off[s]:off[s+1] is shard s's run
-	cur    []int
-	starts []int
-	added  []int
+	buf   []bipartite.Edge
+	off   []int // len shards+1 after group; off[s]:off[s+1] is shard s's run
+	cur   []int
+	rows  []int
+	added []int
 }
 
 // group scatters edges into shard-contiguous runs in gs.buf and returns the
@@ -714,9 +726,7 @@ func (g *Graph) snapshotInternal() *snapshot {
 	if prev != nil && churn*deltaRebuildDenominator <= prev.g.NumEdges() {
 		ins := scratch.Grow(&g.edgeBuf, insTotal)[:0]
 		for i, log := range logs {
-			for _, en := range log[insStart[i]:] {
-				ins = append(ins, en.e)
-			}
+			ins = append(ins, log[insStart[i]:]...)
 		}
 		g.edgeBuf = ins
 		built = g.ext.ExtendDelta(prev.g, ins, dels, nu, nm)
@@ -726,9 +736,7 @@ func (g *Graph) snapshotInternal() *snapshot {
 	} else {
 		all := scratch.Grow(&g.edgeBuf, total)[:0]
 		for _, log := range logs {
-			for _, en := range log {
-				all = append(all, en.e)
-			}
+			all = append(all, log...)
 		}
 		g.edgeBuf = all
 		built = g.ext.Rebuild(nu, nm, all)

@@ -137,11 +137,11 @@ func (g *Graph) Retire(now time.Time) RetireResult {
 		return RetireResult{Version: curV, Mark: g.mark()}
 	}
 
-	removed := g.removeMatchingLocked(func(en logEntry) bool {
-		if en.ver <= verCut || (wallCut > 0 && en.at <= wallCut) {
+	removed := g.removeMatchingLocked(func(r stampRun, e bipartite.Edge) bool {
+		if r.ver <= verCut || (wallCut > 0 && r.at <= wallCut) {
 			return true
 		}
-		_, dead := partial[edgeKey(en.e)]
+		_, dead := partial[edgeKey(e)]
 		return dead
 	})
 	if len(removed) == 0 {
@@ -167,28 +167,31 @@ func (g *Graph) Retire(now time.Time) RetireResult {
 // batch, or a recovered snapshot whose whole history shares one restore
 // stamp) is trimmed, never evicted wholesale. Returns the whole-version
 // cutoff plus the boundary version's partial-eviction key set (nil when the
-// cut aligns with a version boundary). Requires the commit write lock.
+// cut aligns with a version boundary). The counts come from the run tables,
+// O(runs); only the boundary version's edges are read. Requires the commit
+// write lock.
 func (g *Graph) countCutLocked(maxEdges int, verCut uint64, wallCut int64) (uint64, map[uint64]struct{}) {
 	// Under the commit write lock numEdges is exact and bounds the age-cut
 	// survivor count, so an in-cap graph — the steady state of a periodic
-	// ticker — skips the O(live) scan entirely.
+	// ticker — skips the scan entirely.
 	if int(g.numEdges.Load()) <= maxEdges {
 		return 0, nil
 	}
-	ageDead := func(en logEntry) bool {
-		return en.ver <= verCut || (wallCut > 0 && en.at <= wallCut)
+	ageDead := func(r stampRun) bool {
+		return r.ver <= verCut || (wallCut > 0 && r.at <= wallCut)
 	}
 	perVer := make(map[uint64]int)
 	remaining := 0
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		for _, en := range sh.entries {
-			if ageDead(en) {
-				continue // the age cuts already remove it
+		lo := 0
+		for _, r := range sh.runs {
+			if !ageDead(r) { // else the age cuts already remove the run
+				perVer[r.ver] += r.end - lo
+				remaining += r.end - lo
 			}
-			perVer[en.ver]++
-			remaining++
+			lo = r.end
 		}
 		sh.mu.Unlock()
 	}
@@ -220,10 +223,12 @@ func (g *Graph) countCutLocked(maxEdges int, verCut uint64, wallCut int64) (uint
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		for _, en := range sh.entries {
-			if en.ver == boundary && !ageDead(en) {
-				cand = append(cand, en.e)
+		lo := 0
+		for _, r := range sh.runs {
+			if r.ver == boundary && !ageDead(r) {
+				cand = append(cand, sh.entries[lo:r.end]...)
 			}
+			lo = r.end
 		}
 		sh.mu.Unlock()
 	}
@@ -266,8 +271,8 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 	}
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
-	removed := g.removeMatchingLocked(func(en logEntry) bool {
-		_, dead := keys[edgeKey(en.e)]
+	removed := g.removeMatchingLocked(func(_ stampRun, e bipartite.Edge) bool {
+		_, dead := keys[edgeKey(e)]
 		return dead
 	})
 	if len(removed) == 0 {
@@ -276,43 +281,59 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 	return g.commitRemovalLocked(removed)
 }
 
-// removeMatchingLocked deletes every log entry dead() selects: the entry
-// leaves its shard log (survivors are rewritten into a fresh backing array,
-// preserving order, so captured views of the old array stay immutable), its
-// key leaves the dedup set, and — when the entry sat below the shard's
-// baseline mark, i.e. the previous snapshot contains it — the edge joins
-// pendingDel for the next delta build. Requires the commit write lock;
-// returns the removed edges for journaling.
-func (g *Graph) removeMatchingLocked(dead func(logEntry) bool) []bipartite.Edge {
+// removeMatchingLocked deletes every log entry dead() selects, given the
+// entry's edge and the run row stamping it: the entry leaves its shard log
+// (survivors and their rows are rewritten into fresh backing arrays,
+// preserving order, so captured views of the old array stay immutable, and
+// rows left empty are dropped), its key leaves the dedup set, and — when the
+// entry sat below the shard's baseline mark, i.e. the previous snapshot
+// contains it — the edge joins pendingDel for the next delta build. Requires
+// the commit write lock; returns the removed edges for journaling.
+func (g *Graph) removeMatchingLocked(dead func(stampRun, bipartite.Edge) bool) []bipartite.Edge {
 	var removed []bipartite.Edge
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		n := 0
-		for _, en := range sh.entries {
-			if dead(en) {
-				n++
+		n, lo := 0, 0
+		for _, r := range sh.runs {
+			for _, e := range sh.entries[lo:r.end] {
+				if dead(r, e) {
+					n++
+				}
 			}
+			lo = r.end
 		}
 		if n == 0 {
 			sh.mu.Unlock()
 			continue
 		}
-		fresh := make([]logEntry, 0, len(sh.entries)-n)
+		fresh := make([]bipartite.Edge, 0, len(sh.entries)-n)
+		runs := make([]stampRun, 0, len(sh.runs))
 		belowMark := 0
-		for idx, en := range sh.entries {
-			if dead(en) {
-				sh.seen.Delete(edgeKey(en.e))
-				removed = append(removed, en.e)
+		lo = 0
+		for _, r := range sh.runs {
+			kept := len(fresh)
+			for idx := lo; idx < r.end; idx++ {
+				e := sh.entries[idx]
+				if !dead(r, e) {
+					fresh = append(fresh, e)
+					continue
+				}
+				sh.seen.Delete(edgeKey(e))
+				removed = append(removed, e)
 				if idx < sh.snapMark {
 					belowMark++
-					g.pendingDel = append(g.pendingDel, en.e)
+					g.pendingDel = append(g.pendingDel, e)
 				}
-				continue
 			}
-			fresh = append(fresh, en)
+			lo = r.end
+			if len(fresh) > kept {
+				r.end = len(fresh)
+				runs = append(runs, r)
+			}
 		}
 		sh.entries = fresh
+		sh.runs = runs
 		sh.snapMark -= belowMark
 		sh.mu.Unlock()
 	}
