@@ -47,7 +47,7 @@ func main() {
 	flag.StringVar(&cfg.Load, "load", cfg.Load, "optional edge-list file to ingest at startup")
 	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "ingest shard count, rounded up to a power of two (0 = near GOMAXPROCS)")
 	flag.IntVar(&cfg.MaxConcurrent, "max-concurrent", cfg.MaxConcurrent, "maximum concurrent ensemble runs")
-	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "maximum cached vote sets")
+	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "maximum cached vote sets (6 bytes per voted node each: about 265 KB on a 181K-node graph with 24% of nodes voted)")
 	flag.Float64Var(&cfg.IncrementalMaxDelta, "incremental-max-delta", cfg.IncrementalMaxDelta, "run detection incrementally when the ingest delta is at most this fraction of the graph's edges (negative = always cold)")
 	flag.UintVar(&cfg.MaxNodeID, "max-node-id", cfg.MaxNodeID, "largest accepted node id (0 = default 2^26)")
 	flag.IntVar(&cfg.IngestQueue, "ingest-queue", cfg.IngestQueue, "ingest admission queue: in-flight batches past this are shed with 429 (0 = unbounded)")

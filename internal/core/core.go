@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ensemfdet/internal/bipartite"
@@ -239,9 +238,9 @@ type Output struct {
 	// pre-truncation) executed across the run's samples — the unit the
 	// peeler's O(kˆ|E|) cost scales with. Samples reused by RunIncremental
 	// contribute nothing, so the count measures work actually done, not
-	// work implied by the ensemble size. Workers accumulate it atomically;
-	// integer addition commutes, so the value is deterministic for a fixed
-	// Config.
+	// work implied by the ensemble size. Each worker counts its own samples
+	// and the counts are summed after the workers join; integer addition
+	// commutes, so the value is deterministic for a fixed Config.
 	PeelRounds int64
 }
 
@@ -363,7 +362,7 @@ func (env *runEnv) execute(indices []int) error {
 		panicErr error
 		voteMu   sync.Mutex
 	)
-	runSample := func(a *Arena, i int) {
+	runSample := func(a *Arena, i int, rounds *int64) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicMu.Lock()
@@ -430,7 +429,7 @@ func (env *runEnv) execute(indices []int) error {
 			}
 		}
 		out.KHats[i] = res.TruncatedAt
-		atomic.AddInt64(&out.PeelRounds, int64(len(res.Scores)))
+		*rounds += int64(len(res.Scores))
 		if cfg.CollectScores {
 			// res.Scores aliases the worker's scratch; the retained curve
 			// needs its own copy (CollectScores is the off-hot-path mode).
@@ -443,6 +442,7 @@ func (env *runEnv) execute(indices []int) error {
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	workers := cfg.parallelism()
+	rounds := make([]int64, workers) // per-worker peel rounds, summed after the join
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -453,7 +453,7 @@ func (env *runEnv) execute(indices []int) error {
 				scratch.GrowZero(&a.merchVotes, g.NumMerchants())
 			}
 			for i := range jobs {
-				runSample(a, i)
+				runSample(a, i, &rounds[w])
 			}
 			if rec == nil {
 				// Merge this worker's votes. Integer addition commutes, so
@@ -486,6 +486,9 @@ func (env *runEnv) execute(indices []int) error {
 	}
 	close(jobs)
 	wg.Wait()
+	for _, r := range rounds {
+		out.PeelRounds += r
+	}
 	if panicErr != nil {
 		return panicErr
 	}

@@ -6,19 +6,22 @@
 // practicability edge — is that the expensive parallel phase (sampling +
 // FDET + vote aggregation) depends only on the graph and the ensemble
 // configuration, never on the vote threshold T. The engine therefore caches
-// core.Votes keyed on (graph version, config fingerprint): any threshold
-// sweep, top-K ranking, or repeated detect against an unchanged graph is a
-// cache hit that costs a map lookup plus an O(nodes) scan. Concurrent
+// the ensemble's votes keyed on (graph version, config fingerprint): any
+// threshold sweep, top-K ranking, or repeated detect against an unchanged
+// graph is a cache hit that costs a map lookup plus an O(voted) scan, since
+// a cached vote set keeps only the nodes with at least one vote. Concurrent
 // requests for the same key are single-flighted into one ensemble run, and
 // distinct cold keys share a bounded worker pool so a burst of queries
 // cannot oversubscribe the host.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,6 +102,10 @@ func (p Params) Validate() error {
 // per-sample state for an arbitrary N.
 const MaxEnsembleSize = 10_000
 
+// A cached vote count is at most N, so it fits a uint16 (VoteList.Counts);
+// this fails to compile if MaxEnsembleSize ever outgrows that.
+const _ uint16 = math.MaxUint16 - MaxEnsembleSize
+
 // Fingerprint returns a canonical string identifying the detection-relevant
 // parameters; it is the config half of the vote-cache key.
 func (p Params) Fingerprint() string {
@@ -115,7 +122,9 @@ type Options struct {
 	// samples, so a small number is usually right.
 	MaxConcurrent int
 	// MaxCacheEntries bounds the vote cache; the oldest entries are
-	// evicted first (0 → 32). Votes cost O(|U|+|V|) ints per entry.
+	// evicted first (0 → 32). An entry costs 6 bytes per voted node; the
+	// newest entry per fingerprint also keeps its run's full output (dense
+	// votes plus the reuse record) as the incremental base.
 	MaxCacheEntries int
 	// MaxNodeID bounds the node ids the ingest path accepts (0 → 1<<26;
 	// values above bipartite.MaxNodeID are clamped to it, since CSR offset
@@ -221,8 +230,10 @@ type cacheKey struct {
 }
 
 type entry struct {
-	done  chan struct{} // closed when votes/err are set
-	votes *core.Votes
+	done chan struct{} // closed when votes/err are set
+	// votes is the sparse copy every query reads; it shares no memory with
+	// out, so releasing out frees the whole run.
+	votes *SparseVotes
 	err   error
 	// out retains the full recorded output while this entry is the newest
 	// completed one for its fingerprint — the incremental base. It is
@@ -333,12 +344,83 @@ func NewEngine(src Snapshotter, opts Options) *Engine {
 	return e
 }
 
+// VoteList is one side of a cached vote set: the ids that received at least
+// one vote, ascending, and their counts (Counts[i] is IDs[i]'s count).
+// Ensemble votes are sparse — only members of a detected block get one — so
+// this is usually a small fraction of the side's node count.
+type VoteList struct {
+	IDs    []uint32
+	Counts []uint16
+}
+
+func sparseList(dense []int) VoteList {
+	n := 0
+	for _, c := range dense {
+		if c != 0 {
+			n++
+		}
+	}
+	l := VoteList{IDs: make([]uint32, 0, n), Counts: make([]uint16, 0, n)}
+	for id, c := range dense {
+		if c != 0 {
+			l.IDs = append(l.IDs, uint32(id))
+			l.Counts = append(l.Counts, uint16(c))
+		}
+	}
+	return l
+}
+
+// accept returns the ids with at least t votes (t >= 1), ascending; nil when
+// there are none, like core.Votes.AcceptUsers.
+func (l VoteList) accept(t int) []uint32 {
+	var out []uint32
+	for i, c := range l.Counts {
+		if int(c) >= t {
+			out = append(out, l.IDs[i])
+		}
+	}
+	return out
+}
+
+// rank returns the ids with at least minVotes votes, sorted by votes
+// descending then id ascending, truncated to top entries (top <= 0 → all).
+func (l VoteList) rank(minVotes, top int) []NodeVotes {
+	if minVotes < 1 {
+		minVotes = 1
+	}
+	out := make([]NodeVotes, 0, 64)
+	for i, c := range l.Counts {
+		if int(c) >= minVotes {
+			out = append(out, NodeVotes{ID: l.IDs[i], Votes: int(c)})
+		}
+	}
+	slices.SortFunc(out, func(a, b NodeVotes) int {
+		return cmp.Or(cmp.Compare(b.Votes, a.Votes), cmp.Compare(a.ID, b.ID))
+	})
+	if top > 0 && len(out) > top {
+		out = out[:top]
+	}
+	return out
+}
+
+// SparseVotes is the cached form of an ensemble's core.Votes: per side, only
+// the nodes with at least one vote.
+type SparseVotes struct {
+	User       VoteList
+	Merchant   VoteList
+	NumSamples int
+}
+
+func newSparseVotes(v *core.Votes) *SparseVotes {
+	return &SparseVotes{User: sparseList(v.User), Merchant: sparseList(v.Merchant), NumSamples: v.NumSamples}
+}
+
 // VoteSet is a cached ensemble outcome pinned to the graph version that
 // produced it.
 type VoteSet struct {
-	// Votes is the shared cached vote vector; callers must treat it as
-	// read-only.
-	Votes *core.Votes
+	// Votes is the cache entry's shared vote set (one pointer per cache
+	// key); callers must treat it as read-only.
+	Votes *SparseVotes
 	// GraphVersion is the stream version the ensemble ran against.
 	GraphVersion uint64
 	// Cached reports whether this request was answered from cache (true)
@@ -602,7 +684,7 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 		ent.err = err
 		return
 	}
-	ent.votes = &out.Votes
+	ent.votes = newSparseVotes(&out.Votes)
 	e.runs.Add(1)
 	e.peelRounds.Add(uint64(out.PeelRounds))
 	e.publishBase(key, ent, out)
@@ -697,8 +779,8 @@ func (e *Engine) Detect(ctx context.Context, p Params, t int) (Detection, error)
 		t = 1
 	}
 	return Detection{
-		Users:         vs.Votes.AcceptUsers(t),
-		Merchants:     vs.Votes.AcceptMerchants(t),
+		Users:         vs.Votes.User.accept(t),
+		Merchants:     vs.Votes.Merchant.accept(t),
 		Threshold:     t,
 		NumSamples:    vs.Votes.NumSamples,
 		GraphVersion:  vs.GraphVersion,
@@ -713,30 +795,6 @@ func (e *Engine) Detect(ctx context.Context, p Params, t int) (Detection, error)
 type NodeVotes struct {
 	ID    uint32 `json:"id"`
 	Votes int    `json:"votes"`
-}
-
-// rankVotes returns nodes with at least minVotes votes, sorted by votes
-// descending then id ascending, truncated to top entries (top <= 0 → all).
-func rankVotes(votes []int, minVotes, top int) []NodeVotes {
-	if minVotes < 1 {
-		minVotes = 1
-	}
-	out := make([]NodeVotes, 0, 64)
-	for id, n := range votes {
-		if n >= minVotes {
-			out = append(out, NodeVotes{ID: uint32(id), Votes: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Votes != out[j].Votes {
-			return out[i].Votes > out[j].Votes
-		}
-		return out[i].ID < out[j].ID
-	})
-	if top > 0 && len(out) > top {
-		out = out[:top]
-	}
-	return out
 }
 
 // Ranking is a ranked vote listing for both sides of the graph.
@@ -756,8 +814,8 @@ func (e *Engine) Rank(ctx context.Context, p Params, minVotes, top int) (Ranking
 		return Ranking{}, err
 	}
 	return Ranking{
-		Users:        rankVotes(vs.Votes.User, minVotes, top),
-		Merchants:    rankVotes(vs.Votes.Merchant, minVotes, top),
+		Users:        vs.Votes.User.rank(minVotes, top),
+		Merchants:    vs.Votes.Merchant.rank(minVotes, top),
 		NumSamples:   vs.Votes.NumSamples,
 		GraphVersion: vs.GraphVersion,
 		Cached:       vs.Cached,

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
@@ -62,7 +61,7 @@ func TestDetectIncrementalAfterSmallDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(vs.Votes.User, cvs.Votes.User) || !slices.Equal(vs.Votes.Merchant, cvs.Votes.Merchant) {
+	if !equalVotes(vs.Votes, cvs.Votes) {
 		t.Error("incremental votes differ from cold votes")
 	}
 
@@ -170,7 +169,7 @@ func TestIncrementalResInsertFallsBackNotResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(vs.Votes.User, cvs.Votes.User) || !slices.Equal(vs.Votes.Merchant, cvs.Votes.Merchant) {
+	if !equalVotes(vs.Votes, cvs.Votes) {
 		t.Error("fallback votes differ from cold votes")
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -29,7 +28,7 @@ func TestVotesByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 	p := Params{NumSamples: 16, SampleRatio: 0.2, Seed: 5}
 
-	votesFor := func(shards, batch int) []int {
+	votesFor := func(shards, batch int) *SparseVotes {
 		t.Helper()
 		g := stream.NewSharded(shards)
 		for off := 0; off < len(edges); off += batch {
@@ -40,12 +39,12 @@ func TestVotesByteIdenticalAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(append([]int(nil), vs.Votes.User...), vs.Votes.Merchant...)
+		return vs.Votes
 	}
 
 	ref := votesFor(1, len(edges)) // unsharded, one batch: the full-build baseline
 	for _, shards := range []int{1, 4, 16} {
-		if got := votesFor(shards, 64); !reflect.DeepEqual(got, ref) {
+		if got := votesFor(shards, 64); !equalVotes(got, ref) {
 			t.Errorf("shards=%d: incremental ingest votes diverge from unsharded full build", shards)
 		}
 	}
@@ -108,8 +107,7 @@ func TestConcurrentAppendSnapshotDetect(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					var lastV uint64
-					var pinned []int
-					var pinnedCopy []int
+					var pinned, pinnedCopy *SparseVotes
 					for i := 0; i < 15; i++ {
 						vs, err := e.Votes(ctx, Params{NumSamples: 4, SampleRatio: 0.3, Seed: seed + int64(i%3)})
 						if err != nil {
@@ -122,11 +120,11 @@ func TestConcurrentAppendSnapshotDetect(t *testing.T) {
 						}
 						lastV = vs.GraphVersion
 						if pinned == nil {
-							pinned = vs.Votes.User
-							pinnedCopy = append([]int(nil), pinned...)
+							pinned = vs.Votes
+							pinnedCopy = cloneVotes(pinned)
 						}
 					}
-					if !reflect.DeepEqual(pinned, pinnedCopy) {
+					if !equalVotes(pinned, pinnedCopy) {
 						t.Error("cached vote vector mutated by later activity")
 					}
 				}(int64(100 * (w + 1)))

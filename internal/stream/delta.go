@@ -70,7 +70,7 @@ func (g *Graph) Delta(from, to uint64) (Delta, bool) {
 		return Delta{}, false
 	}
 	d := Delta{FromVersion: from, ToVersion: to}
-	for i := range g.hist {
+	for i := g.histHead; i < len(g.hist); i++ {
 		r := &g.hist[i]
 		if r.ver <= from || r.ver > to {
 			continue
@@ -97,6 +97,10 @@ func (g *Graph) SetDeltaHistoryLimit(nodes int) {
 
 // histRecord appends one commit's touched endpoints to the history, evicting
 // from the front (and raising the floor) once the node budget is exceeded.
+// Eviction advances histHead and zeroes the slot, releasing its endpoint
+// slices; the live records are copied down only once the head passes half
+// the slice, so a full history costs amortized O(1) record moves per commit
+// rather than a memmove of every retained record.
 // Called with commitMu held (read half for appends, write half for removals);
 // histMu is a leaf lock below it. Concurrent adding batches may record out of
 // version order — harmless, because Delta filters by version and the floor
@@ -121,19 +125,20 @@ func (g *Graph) histRecord(ver uint64, edges []bipartite.Edge, inserts, deletes 
 	}
 	g.hist = append(g.hist, deltaRec{ver: ver, users: users, merchants: merchants, inserts: inserts, deletes: deletes})
 	g.histNodes += len(users) + len(merchants)
-	k := 0
-	for g.histNodes > g.histLimit && k < len(g.hist) {
-		old := &g.hist[k]
+	for g.histNodes > g.histLimit && g.histHead < len(g.hist) {
+		old := &g.hist[g.histHead]
 		g.histNodes -= len(old.users) + len(old.merchants)
 		if old.ver > g.histFloor {
 			g.histFloor = old.ver
 		}
-		k++
+		*old = deltaRec{}
+		g.histHead++
 	}
-	if k > 0 {
-		n := copy(g.hist, g.hist[k:])
-		clear(g.hist[n:]) // release evicted records' endpoint slices
+	if g.histHead > len(g.hist)/2 {
+		n := copy(g.hist, g.hist[g.histHead:])
+		clear(g.hist[n:]) // the moved records' old slots
 		g.hist = g.hist[:n]
+		g.histHead = 0
 	}
 }
 
@@ -149,6 +154,7 @@ func (g *Graph) histReset(ver uint64) {
 func (g *Graph) histResetLocked(ver uint64) {
 	clear(g.hist)
 	g.hist = g.hist[:0]
+	g.histHead = 0
 	g.histNodes = 0
 	// Exactly ver, not max: an epoch rewind lowers the floor so the adopted
 	// timeline's future commits are queryable from its snapshot version.

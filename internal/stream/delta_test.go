@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -222,5 +224,106 @@ func TestDeltaConcurrentAppends(t *testing.T) {
 	}
 	if got := len(sortedU32(d.Users)); got != 400 {
 		t.Fatalf("distinct touched users = %d, want 400", got)
+	}
+}
+
+// TestDeltaMatchesNaiveModelAcrossEvictions drives many commits through a
+// small history budget, so records are evicted on most appends and the head
+// offset wraps past its compaction point many times, and checks every Delta
+// against a model that keeps all records and recomputes the retained suffix
+// from scratch: the longest suffix whose endpoint total fits the limit.
+func TestDeltaMatchesNaiveModelAcrossEvictions(t *testing.T) {
+	type rec struct {
+		ver        uint64
+		users, mer []uint32
+		inserts    int
+	}
+	for _, limit := range []int{4, 64} {
+		t.Run(fmt.Sprint("limit=", limit), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(limit)))
+			g := NewSharded(2)
+			g.SetDeltaHistoryLimit(limit)
+			floor0 := g.Version()
+			var all []rec
+			model := func(from, to uint64) (Delta, bool) {
+				floor, nodes, keep := floor0, 0, len(all)
+				for keep > 0 && nodes+2*len(all[keep-1].users) <= limit {
+					keep--
+					nodes += 2 * len(all[keep].users)
+				}
+				if keep > 0 {
+					floor = max(floor, all[keep-1].ver)
+				}
+				if from > to || from < floor {
+					return Delta{}, false
+				}
+				d := Delta{FromVersion: from, ToVersion: to}
+				for _, r := range all[keep:] {
+					if r.ver > from && r.ver <= to {
+						d.Users = append(d.Users, r.users...)
+						d.Merchants = append(d.Merchants, r.mer...)
+						d.Inserts += r.inserts
+					}
+				}
+				return d, true
+			}
+			next := uint32(0)
+			for step := 0; step < 600; step++ {
+				// Mostly single edges, sometimes a batch past the whole budget;
+				// a repeated edge inside a batch is recorded but not inserted.
+				n := 1
+				if rng.Intn(8) == 0 {
+					n = 1 + rng.Intn(limit)
+				}
+				batch := make([]bipartite.Edge, n)
+				for i := range batch {
+					batch[i] = bipartite.Edge{U: next, V: next % 13}
+					next++
+				}
+				if n > 1 && rng.Intn(2) == 0 {
+					batch[n-1] = batch[0]
+				}
+				res := g.Append(batch)
+				r := rec{ver: res.Version, inserts: res.Added}
+				for _, e := range batch {
+					r.users = append(r.users, e.U)
+					r.mer = append(r.mer, e.V)
+				}
+				all = append(all, r)
+				v := g.Version()
+				for from := uint64(0); from <= v; from++ {
+					to := from + uint64(rng.Int63n(int64(v-from)+1))
+					for _, to := range []uint64{to, v} {
+						got, gok := g.Delta(from, to)
+						want, wok := model(from, to)
+						if gok != wok || !slices.Equal(got.Users, want.Users) || !slices.Equal(got.Merchants, want.Merchants) ||
+							got.Inserts != want.Inserts || got.Deletes != 0 {
+							t.Fatalf("step %d: Delta(%d, %d) = %+v ok=%v, model %+v ok=%v", step, from, to, got, gok, want, wok)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHistRecordSingleEdge measures one single-edge commit's history
+// bookkeeping once the history is full, so every record evicts one.
+func BenchmarkHistRecordSingleEdge(b *testing.B) {
+	for _, limit := range []int{1 << 12, DefaultDeltaHistoryNodes} {
+		b.Run(fmt.Sprint("limit=", limit), func(b *testing.B) {
+			g := NewSharded(1)
+			g.SetDeltaHistoryLimit(limit)
+			edge := []bipartite.Edge{{U: 1, V: 2}}
+			ver := uint64(0)
+			for ; ver < uint64(limit/2); ver++ {
+				g.histRecord(ver+1, edge, 1, 0)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ver++
+				g.histRecord(ver, edge, 1, 0)
+			}
+		})
 	}
 }

@@ -172,7 +172,8 @@ type Graph struct {
 	// version changed, bounded by histLimit summed endpoints. histMu is a
 	// leaf lock acquired below commitMu (either half) and the shard locks.
 	histMu    sync.Mutex
-	hist      []deltaRec
+	hist      []deltaRec // live records are hist[histHead:]
+	histHead  int
 	histNodes int
 	histFloor uint64 // Delta ranges starting below this are unanswerable
 	histLimit int
