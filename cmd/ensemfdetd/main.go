@@ -24,6 +24,10 @@
 //	POST /v1/admin/promote                              promote this follower to primary (durable followers)
 //	POST /v1/admin/follow    {"primary": url}           re-point this follower at a new primary
 //
+// -cache-size counts configs (sampler, N, S, seed), not graph versions: each
+// cached config keeps one vote set, its newest, plus that run's output as the
+// base the next version's detect resumes from.
+//
 // Package ensemfdet/internal/daemon holds the service itself: the boot
 // order, the replication roles, and the shutdown that drains for up to
 // -drain on SIGINT/SIGTERM and then flushes a final snapshot. README
@@ -47,7 +51,7 @@ func main() {
 	flag.StringVar(&cfg.Load, "load", cfg.Load, "optional edge-list file to ingest at startup")
 	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "ingest shard count, rounded up to a power of two (0 = near GOMAXPROCS)")
 	flag.IntVar(&cfg.MaxConcurrent, "max-concurrent", cfg.MaxConcurrent, "maximum concurrent ensemble runs")
-	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "maximum cached vote sets (6 bytes per voted node each: about 265 KB on a 181K-node graph with 24% of nodes voted)")
+	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "maximum cached configs, least recently used evicted first; each keeps its newest vote set (6 bytes per voted node) plus its run's output as the incremental base: about 3.7 MB a config on a 181K-node graph at N=80")
 	flag.Float64Var(&cfg.IncrementalMaxDelta, "incremental-max-delta", cfg.IncrementalMaxDelta, "run detection incrementally when the ingest delta is at most this fraction of the graph's edges (negative = always cold)")
 	flag.UintVar(&cfg.MaxNodeID, "max-node-id", cfg.MaxNodeID, "largest accepted node id (0 = default 2^26)")
 	flag.IntVar(&cfg.IngestQueue, "ingest-queue", cfg.IngestQueue, "ingest admission queue: in-flight batches past this are shed with 429 (0 = unbounded)")

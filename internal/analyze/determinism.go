@@ -35,7 +35,7 @@ const nondetOK = "nondeterministic-ok"
 
 // determinismScope is the set of packages on the vote path: everything that
 // runs between an edge batch arriving and a vote vector being emitted.
-var determinismScope = regexp.MustCompile(`(^|/)internal/(core|fdet|sampling|bipartite|stream|indexheap)$`)
+var determinismScope = regexp.MustCompile(`(^|/)internal/(core|fdet|sampling|bipartite|stream|indexheap|density)$`)
 
 // globalRandFuncs are the math/rand package-level functions backed by the
 // process-global source. Constructors (New, NewSource, NewZipf) and *Rand

@@ -214,17 +214,6 @@ func (b *Builder) AddEdge(u, v uint32) {
 	b.edges = append(b.edges, Edge{U: u, V: v})
 }
 
-// AddEdges records a batch of purchases.
-func (b *Builder) AddEdges(edges []Edge) {
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
-	}
-}
-
-// NumPendingEdges returns the number of edges added so far, before
-// deduplication.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build constructs the immutable Graph. The Builder may be reused afterwards;
 // its accumulated edges are consumed.
 func (b *Builder) Build() *Graph {

@@ -19,7 +19,7 @@ type Config struct {
 	Load                string        // -load: edge-list file ingested at startup
 	Shards              int           // -shards: ingest shard count (0 = near GOMAXPROCS)
 	MaxConcurrent       int           // -max-concurrent: concurrent ensemble runs
-	CacheSize           int           // -cache-size: cached vote sets
+	CacheSize           int           // -cache-size: cached configs, one vote set + incremental base each (LRU)
 	IncrementalMaxDelta float64       // -incremental-max-delta: incremental when delta/|E| <= this (negative = always cold)
 	MaxNodeID           uint          // -max-node-id: largest accepted node id (0 = 2^26)
 	IngestQueue         int           // -ingest-queue: in-flight ingest batches before 429 (0 = unbounded)

@@ -94,7 +94,10 @@ func ScoreWithWeights(g *bipartite.Graph, w []float64) float64 {
 	}
 	total := 0.0
 	for v := 0; v < g.NumMerchants(); v++ {
-		total += float64(g.MerchantDegree(uint32(v))) * w[v]
+		// The float64() rounds the product first, so the compiler may not
+		// fuse it with the sum into an FMA (Go spec, "Floating-point
+		// operators") and the score is the same at every GOAMD64 level.
+		total += float64(float64(g.MerchantDegree(uint32(v))) * w[v])
 	}
 	return total / float64(n)
 }

@@ -228,7 +228,9 @@ func TruncatingPoint(scores []float64) int {
 	}
 	best, bestVal := 1, math.Inf(1)
 	for i := 1; i+1 < len(scores); i++ {
-		d2 := scores[i+1] - 2*scores[i] + scores[i-1]
+		// 2*x is exact, so fusing it would not change d2; the float64()
+		// spells out, as the Go spec defines, that it is never fused.
+		d2 := scores[i+1] - float64(2*scores[i]) + scores[i-1]
 		if d2 < bestVal {
 			bestVal = d2
 			best = i
@@ -245,7 +247,7 @@ func SecondDifferences(scores []float64) []float64 {
 	}
 	out := make([]float64, len(scores)-2)
 	for i := 1; i+1 < len(scores); i++ {
-		out[i-1] = scores[i+1] - 2*scores[i] + scores[i-1]
+		out[i-1] = scores[i+1] - float64(2*scores[i]) + scores[i-1]
 	}
 	return out
 }

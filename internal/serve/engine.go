@@ -6,13 +6,16 @@
 // practicability edge — is that the expensive parallel phase (sampling +
 // FDET + vote aggregation) depends only on the graph and the ensemble
 // configuration, never on the vote threshold T. The engine therefore caches
-// the ensemble's votes keyed on (graph version, config fingerprint): any
-// threshold sweep, top-K ranking, or repeated detect against an unchanged
-// graph is a cache hit that costs a map lookup plus an O(voted) scan, since
-// a cached vote set keeps only the nodes with at least one vote. Concurrent
-// requests for the same key are single-flighted into one ensemble run, and
-// distinct cold keys share a bounded worker pool so a burst of queries
-// cannot oversubscribe the host.
+// the ensemble's votes per config fingerprint, stamped with the graph version
+// they were computed on: any threshold sweep, top-K ranking, or repeated
+// detect against an unchanged graph is a cache hit that costs a map lookup
+// plus an O(voted) scan, since a cached vote set keeps only the nodes with at
+// least one vote. A request only ever asks for the current version, so each
+// config keeps just its newest completed run, which doubles as the base the
+// next version's run resumes from. Concurrent requests for the same
+// (version, config) are single-flighted into one ensemble run, and distinct
+// cold keys share a bounded worker pool so a burst of queries cannot
+// oversubscribe the host.
 package serve
 
 import (
@@ -121,10 +124,14 @@ type Options struct {
 	// across all cache keys (0 → 2). Each run itself parallelizes over
 	// samples, so a small number is usually right.
 	MaxConcurrent int
-	// MaxCacheEntries bounds the vote cache; the oldest entries are
-	// evicted first (0 → 32). An entry costs 6 bytes per voted node; the
-	// newest entry per fingerprint also keeps its run's full output (dense
-	// votes plus the reuse record) as the incremental base.
+	// MaxCacheEntries bounds how many configs (fingerprints) the vote cache
+	// holds; the least recently used one is evicted first (0 → 32). Each
+	// config keeps one vote set, its newest completed version, at 6 bytes
+	// per voted node, plus, for a resumable config, its run's full output
+	// (dense votes and the reuse record) as the incremental base: about
+	// 3.7 MB a config in all on a 181K-node graph at N = 80 with 24 % of
+	// nodes voted, 265 KB of it the vote set. In-flight runs do not count
+	// toward the bound.
 	MaxCacheEntries int
 	// MaxNodeID bounds the node ids the ingest path accepts (0 → 1<<26;
 	// values above bipartite.MaxNodeID are clamped to it, since CSR offset
@@ -215,8 +222,8 @@ type Windower interface {
 
 // Deltaer is the optional churn-tracking extension of Snapshotter: a source
 // that can report which nodes changed between two snapshot versions.
-// *stream.Graph implements it; when present, the engine reuses the newest
-// completed run per config fingerprint as an incremental base and re-runs
+// *stream.Graph implements it; when present, the engine reuses the cached
+// run of a config fingerprint as an incremental base and re-runs
 // only the samples the delta dirtied (core.RunIncremental). ok=false from
 // Delta — evicted history, a restore, an epoch resync — simply forces a cold
 // run.
@@ -229,18 +236,27 @@ type cacheKey struct {
 	config  string
 }
 
+// entry is one ensemble run: in flight under its cacheKey, then, if it is
+// the newest completed run of its fingerprint, the fingerprint's cached vote
+// set and incremental base until a newer run replaces it or LRU eviction
+// drops it. Either way the whole entry, output included, is released at
+// once.
 type entry struct {
-	done chan struct{} // closed when votes/err are set
+	done    chan struct{} // closed when votes/err are set
+	version uint64        // the graph version the run computes
 	// votes is the sparse copy every query reads; it shares no memory with
-	// out, so releasing out frees the whole run.
+	// out.
 	votes *SparseVotes
 	err   error
-	// out retains the full recorded output while this entry is the newest
-	// completed one for its fingerprint — the incremental base. It is
-	// released (set nil under the engine lock) when a newer version
-	// completes. Only out.Votes and out.Rec remain valid after the run: the
-	// scratch-backed per-sample arrays are recycled into later runs.
+	// out is the full recorded output, kept (set under the engine lock when
+	// the entry is cached) only when it carries a reuse record: it is what
+	// the next version's run resumes from. Only out.Votes and out.Rec remain
+	// valid after the run: the scratch-backed per-sample arrays are recycled
+	// into later runs.
 	out *core.Output
+	// used is the engine's use tick at the entry's last publish or hit, for
+	// LRU eviction; guarded by the engine lock.
+	used uint64
 	// Run provenance, fixed before done closes: whether the run reused a
 	// base, and how many samples were carried over vs re-executed (a cold
 	// run reports 0 / NumSamples).
@@ -269,13 +285,14 @@ type Engine struct {
 	// run. Votes are never pooled — cached entries retain them.
 	outScratch chan *core.RunScratch
 
-	mu    sync.Mutex
-	cache map[cacheKey]*entry
-	order []cacheKey // insertion order, for FIFO eviction
-	// latest maps a config fingerprint to the newest completed version with
-	// a retained reuse record — the incremental base. Pinned against
-	// first-pass eviction; guarded by mu.
-	latest map[string]uint64
+	// done holds the newest completed run per config fingerprint; flight
+	// holds the runs still executing, which are never evicted (a repeat
+	// request must coalesce onto them, not launch a duplicate). tick stamps
+	// entry.used. All guarded by mu.
+	mu     sync.Mutex
+	done   map[string]*entry
+	flight map[cacheKey]*entry
+	tick   uint64
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -333,8 +350,8 @@ func NewEngine(src Snapshotter, opts Options) *Engine {
 		sem:        make(chan struct{}, opts.maxConcurrent()),
 		arenas:     core.NewArenaPool(),
 		outScratch: make(chan *core.RunScratch, opts.maxConcurrent()),
-		cache:      make(map[cacheKey]*entry),
-		latest:     make(map[string]uint64),
+		done:       make(map[string]*entry),
+		flight:     make(map[cacheKey]*entry),
 	}
 	e.win, _ = src.(Windower)
 	e.delta, _ = src.(Deltaer)
@@ -437,10 +454,10 @@ type VoteSet struct {
 }
 
 // Votes returns the ensemble vote counts for the current graph version under
-// p, computing them at most once per (version, config) key. Concurrent calls
-// with the same key block on a single underlying run. ctx cancels the wait,
-// not the computation — an abandoned run still completes and populates the
-// cache for the next caller.
+// p, computing them at most once per (version, config) key while that version
+// is the config's newest. Concurrent calls with the same key block on a
+// single underlying run. ctx cancels the wait, not the computation — an
+// abandoned run still completes and populates the cache for the next caller.
 func (e *Engine) Votes(ctx context.Context, p Params) (VoteSet, error) {
 	if err := p.Validate(); err != nil {
 		return VoteSet{}, err
@@ -450,28 +467,31 @@ func (e *Engine) Votes(ctx context.Context, p Params) (VoteSet, error) {
 	key := cacheKey{version: version, config: p.Fingerprint()}
 
 	e.mu.Lock()
-	ent, ok := e.cache[key]
+	cached := e.done[key.config]
+	ent, ok := e.flight[key]
+	switch {
+	case cached != nil && cached.version == version:
+		ent, ok = cached, true
+		e.tick++
+		ent.used = e.tick
+	case !ok:
+		ent = &entry{done: make(chan struct{}), version: version}
+		e.flight[key] = ent
+		// The cached run is the incremental base if it is older. Holding
+		// the entry through the run keeps its output usable even if a newer
+		// run or eviction drops it from the cache meanwhile.
+		var base *entry
+		if cached != nil && cached.version < version && cached.out != nil &&
+			e.delta != nil && e.opts.incrementalMaxDeltaRatio() > 0 {
+			base = cached
+		}
+		go e.run(key, ent, snap, p, base)
+	}
+	e.mu.Unlock()
 	if ok {
-		e.mu.Unlock()
 		e.hits.Add(1)
 	} else {
-		ent = &entry{done: make(chan struct{})}
-		// Resolve the incremental base under the same lock as the insert:
-		// the insert below can trigger eviction, and at the cache bound the
-		// evicted entry may be exactly the base this run is about to resume
-		// from. Holding the output pointer through the run keeps it usable
-		// even if its cache entry is reclaimed meanwhile.
-		var base *core.Output
-		var baseVer uint64
-		if e.delta != nil && e.opts.incrementalMaxDeltaRatio() > 0 {
-			base, baseVer = e.incrementalBaseLocked(key)
-		}
-		e.cache[key] = ent
-		e.order = append(e.order, key)
-		e.evictLocked()
-		e.mu.Unlock()
 		e.misses.Add(1)
-		go e.run(key, ent, snap, p, base, baseVer)
 	}
 
 	select {
@@ -493,111 +513,28 @@ func (e *Engine) Votes(ctx context.Context, p Params) (VoteSet, error) {
 	}, nil
 }
 
-// evictLocked drops the oldest completed cache entries beyond the
-// configured bound. In-flight entries are never evicted — dropping one
-// would let a repeat request launch a duplicate of a run that is still
-// executing — so the cache may transiently exceed the bound while many
-// distinct cold keys are computing. Waiters holding an evicted *entry
-// still see its result; it just stops being findable.
-//
-// The newest completed entry per config fingerprint is pinned: it is the
-// incremental base for the next graph version, and a strict FIFO sweep would
-// evict exactly the entry every future request wants to resume from (the
-// latest one) whenever a fingerprint's history fills the cache. Pinned
-// entries are only reclaimed in a second pass, when the cache is over bound
-// with nothing unpinned left — many distinct fingerprints — so memory stays
-// bounded by the configured entry count either way.
-func (e *Engine) evictLocked() {
-	excess := len(e.order) - e.opts.maxCacheEntries()
-	if excess <= 0 {
-		return
-	}
-	kept := e.order[:0]
-	for _, k := range e.order {
-		ent := e.cache[k]
-		if excess > 0 && ent != nil && entryDone(ent) && !e.pinnedLocked(k) {
-			delete(e.cache, k)
-			excess--
-			continue
-		}
-		kept = append(kept, k)
-	}
-	e.order = kept
-	if excess <= 0 {
-		return
-	}
-	kept = e.order[:0]
-	for _, k := range e.order {
-		ent := e.cache[k]
-		if excess > 0 && ent != nil && entryDone(ent) {
-			if e.pinnedLocked(k) {
-				delete(e.latest, k.config)
-			}
-			delete(e.cache, k)
-			excess--
-			continue
-		}
-		kept = append(kept, k)
-	}
-	e.order = kept
-}
-
-// pinnedLocked reports whether k is its fingerprint's registered incremental
-// base. Caller holds e.mu.
-func (e *Engine) pinnedLocked(k cacheKey) bool {
-	v, ok := e.latest[k.config]
-	return ok && v == k.version
-}
-
-// FlushCache drops every cached vote set, including keys with runs still in
-// flight (their waiters keep the entry pointer; fresh requests recompute).
-// The cache is keyed on the numeric graph version, so it is only coherent
-// while versions never repeat — an epoch-boundary resync moves the version
-// backwards, after which a re-reached version number names different graph
-// content and every pre-resync entry is poison.
+// FlushCache drops every cached vote set and forgets every in-flight run
+// (their waiters keep the entry pointer; fresh requests recompute, and the
+// forgotten runs publish nothing). The cache is keyed on the numeric graph
+// version, so it is only coherent while versions never repeat — an
+// epoch-boundary resync moves the version backwards, after which a
+// re-reached version number names different graph content and every
+// pre-resync entry is poison. Incremental bases die with their entries:
+// after a resync the recorded dependencies describe a different graph
+// history, and the stream layer's delta history is reset anyway.
 func (e *Engine) FlushCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	clear(e.cache)
-	e.order = e.order[:0]
-	// Incremental bases die with their entries: after a resync the recorded
-	// dependencies describe a different graph history, and the stream layer's
-	// delta history is reset anyway.
-	clear(e.latest)
+	clear(e.done)
+	clear(e.flight)
 }
 
-func entryDone(ent *entry) bool {
-	select {
-	case <-ent.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, base *core.Output, baseVer uint64) {
+func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, base *entry) {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 	defer close(ent.done)
-	// A failed run must not be negatively cached: current waiters get the
-	// error, but the entry is dropped so the next request retries instead
-	// of replaying a possibly transient failure forever on a static graph.
-	defer func() {
-		if ent.err == nil {
-			return
-		}
-		e.mu.Lock()
-		if e.cache[key] == ent {
-			delete(e.cache, key)
-			for i, k := range e.order {
-				if k == key {
-					e.order = append(e.order[:i], e.order[i+1:]...)
-					break
-				}
-			}
-		}
-		e.mu.Unlock()
-	}()
+	var out *core.Output
+	defer func() { e.publish(key, ent, out) }()
 	// A panic in the ensemble must surface as a request error, not kill
 	// the daemon: this goroutine has no other recover between it and the
 	// runtime.
@@ -641,10 +578,9 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 	// failure to prove reuse — no base, evicted delta history, churn past the
 	// threshold, a non-resumable config — falls back to a cold run; votes are
 	// byte-identical either way.
-	var out *core.Output
 	if base != nil {
-		if d, dok := e.delta.Delta(baseVer, key.version); dok && e.deltaWithinRatio(d, snap) {
-			o, st, ierr := core.RunIncremental(snap, cfg, base, core.DeltaInfo{
+		if d, dok := e.delta.Delta(base.version, key.version); dok && e.deltaWithinRatio(d, snap) {
+			o, st, ierr := core.RunIncremental(snap, cfg, base.out, core.DeltaInfo{
 				Users:     d.Users,
 				Merchants: d.Merchants,
 			})
@@ -687,22 +623,6 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 	ent.votes = newSparseVotes(&out.Votes)
 	e.runs.Add(1)
 	e.peelRounds.Add(uint64(out.PeelRounds))
-	e.publishBase(key, ent, out)
-}
-
-// incrementalBaseLocked returns the retained output of the newest completed
-// run with key's fingerprint at an older version, or nil. Caller holds e.mu
-// and has already checked that the source is delta-capable.
-func (e *Engine) incrementalBaseLocked(key cacheKey) (*core.Output, uint64) {
-	baseVer, ok := e.latest[key.config]
-	if !ok || baseVer >= key.version {
-		return nil, 0
-	}
-	ent := e.cache[cacheKey{version: baseVer, config: key.config}]
-	if ent == nil || !entryDone(ent) || ent.err != nil || ent.out == nil || ent.out.Rec == nil {
-		return nil, 0
-	}
-	return ent.out, baseVer
 }
 
 // deltaWithinRatio applies the incremental threshold: the churn between base
@@ -716,34 +636,49 @@ func (e *Engine) deltaWithinRatio(d stream.Delta, snap *bipartite.Graph) bool {
 	return float64(d.EdgesChanged()) <= e.opts.incrementalMaxDeltaRatio()*float64(ne)
 }
 
-// publishBase registers a successful run as its fingerprint's incremental
-// base if it is the newest, releasing the demoted predecessor's record (its
-// votes stay servable). A stale run finishing late — older than the current
-// base — keeps nothing.
-func (e *Engine) publishBase(key cacheKey, ent *entry, out *core.Output) {
-	if out.Rec == nil {
-		return
-	}
+// publish retires ent from the in-flight set and, if it succeeded and is
+// its fingerprint's newest run, caches it in place of the older entry, which
+// is released whole. It runs before ent.done closes, so a waiter's next
+// request already sees the cache it left. A failed run is not negatively
+// cached: its waiters get the error and the next request retries instead of
+// replaying a possibly transient failure forever on a static graph. A stale
+// run finishing late serves only its own waiters. A run whose entry
+// FlushCache dropped publishes nothing: post-resync version numbers restart,
+// and a stale high version would block every new-timeline run from
+// publishing.
+func (e *Engine) publish(key cacheKey, ent *entry, out *core.Output) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// A run whose entry is no longer in the cache (flushed by an epoch
-	// resync, or evicted) must not register: post-resync version numbers
-	// restart, and a stale high version in latest would block every
-	// new-timeline run from publishing.
-	if e.cache[key] != ent {
+	if e.flight[key] != ent {
 		return
 	}
-	cur, ok := e.latest[key.config]
-	if ok && cur >= key.version {
+	delete(e.flight, key)
+	cur := e.done[key.config]
+	if ent.err != nil || (cur != nil && cur.version >= ent.version) {
 		return
 	}
-	if ok {
-		if old := e.cache[cacheKey{version: cur, config: key.config}]; old != nil {
-			old.out = nil
+	if cur == nil && len(e.done) >= e.opts.maxCacheEntries() {
+		e.evictLocked()
+	}
+	if out.Rec != nil {
+		ent.out = out
+	}
+	e.tick++
+	ent.used = e.tick
+	e.done[key.config] = ent
+}
+
+// evictLocked drops the least recently used cached config. Caller holds
+// e.mu.
+func (e *Engine) evictLocked() {
+	var lru string
+	var oldest *entry
+	for fp, ent := range e.done {
+		if oldest == nil || ent.used < oldest.used {
+			lru, oldest = fp, ent
 		}
 	}
-	ent.out = out
-	e.latest[key.config] = key.version
+	delete(e.done, lru)
 }
 
 // Detection is a thresholded fraud set served from cached votes.
@@ -908,7 +843,7 @@ type IngestStats struct {
 // Stats returns current counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	entries := len(e.cache)
+	entries := len(e.done) + len(e.flight)
 	e.mu.Unlock()
 	st := Stats{
 		Graph:        e.src.Stats(),

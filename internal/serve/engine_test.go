@@ -175,16 +175,30 @@ func TestDistinctConfigsGetDistinctEntries(t *testing.T) {
 	}
 }
 
+// TestCacheEviction pins that the bound counts configs, not versions: four
+// configs through a two-config cache keep the last two, and new versions of
+// a cached config replace its entry instead of adding one.
 func TestCacheEviction(t *testing.T) {
-	e := NewEngine(seedStream(t), Options{MaxCacheEntries: 2})
+	g := seedStream(t)
+	e := NewEngine(g, Options{MaxCacheEntries: 2})
 	ctx := context.Background()
+	cfg := func(seed int64) Params { return Params{NumSamples: 4, SampleRatio: 0.2, Seed: seed} }
 	for seed := int64(1); seed <= 4; seed++ {
-		if _, err := e.Votes(ctx, Params{NumSamples: 4, SampleRatio: 0.2, Seed: seed}); err != nil {
+		if _, err := e.Votes(ctx, cfg(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := e.Stats(); st.CacheEntries != 2 {
 		t.Errorf("cache holds %d entries, want 2", st.CacheEntries)
+	}
+	for i := 0; i < 3; i++ {
+		g.AppendEdge(uint32(5400+i), 3)
+		if _, err := e.Votes(ctx, cfg(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.CacheEntries != 2 {
+		t.Errorf("cache holds %d entries after new versions of one config, want 2", st.CacheEntries)
 	}
 }
 

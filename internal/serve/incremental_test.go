@@ -178,8 +178,8 @@ func TestIncrementalResInsertFallsBackNotResumable(t *testing.T) {
 // the FIFO-eviction bug: at a small cache bound, inserting version v's entry
 // evicted the just-completed v-1 entry — exactly the incremental base —
 // before the run could read it, so a tight ingest/detect loop never reused a
-// sample. The base is now resolved under the insert's lock and the newest
-// completed entry per fingerprint is pinned against the first eviction pass.
+// sample. The cache now holds one entry per config, which is also its base,
+// and a new version replaces it instead of competing with it for the bound.
 func TestEvictionKeepsIncrementalBaseUnderPressure(t *testing.T) {
 	g := seedStream(t)
 	e := NewEngine(g, Options{MaxCacheEntries: 1})
@@ -203,19 +203,36 @@ func TestEvictionKeepsIncrementalBaseUnderPressure(t *testing.T) {
 }
 
 func TestEvictionBoundsPinnedEntriesAcrossFingerprints(t *testing.T) {
-	e := NewEngine(seedStream(t), Options{MaxCacheEntries: 2})
+	g := seedStream(t)
+	e := NewEngine(g, Options{MaxCacheEntries: 2})
 	ctx := context.Background()
-	// Every completed entry here is the newest for its fingerprint — all
-	// pinned — so the second eviction pass must reclaim them anyway to hold
-	// the memory bound.
+	// Every cached entry is its fingerprint's incremental base, so eviction
+	// must reclaim bases themselves to hold the memory bound: five configs,
+	// each taken through two versions, leave the last two configs cached,
+	// each with its base output.
+	cfg := func(seed int64) Params {
+		return Params{Sampler: "ONS-merchant", NumSamples: 4, SampleRatio: 0.2, Seed: seed}
+	}
 	for seed := int64(1); seed <= 5; seed++ {
-		if _, err := e.Votes(ctx, Params{NumSamples: 4, SampleRatio: 0.2, Seed: seed}); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2; i++ {
+			if i > 0 {
+				g.AppendEdge(uint32(5500+seed), 3)
+			}
+			if _, err := e.Votes(ctx, cfg(seed)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if st := e.Stats(); st.CacheEntries != 2 {
 		t.Errorf("cache holds %d entries, want 2", st.CacheEntries)
 	}
+	e.mu.Lock()
+	for seed := int64(4); seed <= 5; seed++ {
+		if ent := e.done[cfg(seed).Fingerprint()]; ent == nil || ent.out == nil {
+			t.Errorf("seed %d: newest config is not cached with its base", seed)
+		}
+	}
+	e.mu.Unlock()
 }
 
 func TestFlushCacheDropsIncrementalBases(t *testing.T) {

@@ -66,11 +66,11 @@ func TestSparseVotesMatchDense(t *testing.T) {
 	}
 }
 
-// TestDemotedBasesAreReleased pins that a cache entry does not keep its
-// run's core.Output alive once a newer version has become the incremental
-// base: across six versions of one fingerprint, exactly one Output (the
-// newest) is still reachable after a GC, though all six vote sets stay
-// cached.
+// TestDemotedBasesAreReleased pins that a newer version's run replaces its
+// fingerprint's cached entry and releases the older one whole: across six
+// versions of one fingerprint, exactly one entry stays cached and exactly
+// one core.Output (the newest, the incremental base) is still reachable
+// after a GC.
 func TestDemotedBasesAreReleased(t *testing.T) {
 	g := seedStream(t)
 	e := NewEngine(g, Options{})
@@ -86,8 +86,8 @@ func TestDemotedBasesAreReleased(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.mu.Lock()
-		ent := e.cache[cacheKey{version: d.GraphVersion, config: p.Fingerprint()}]
-		if ent == nil || ent.out == nil {
+		ent := e.done[p.Fingerprint()]
+		if ent == nil || ent.version != d.GraphVersion || ent.out == nil {
 			e.mu.Unlock()
 			t.Fatalf("version %d: newest run retained no output", d.GraphVersion)
 		}
@@ -106,7 +106,7 @@ func TestDemotedBasesAreReleased(t *testing.T) {
 	if live != 1 {
 		t.Errorf("%d of %d run outputs reachable, want only the newest base", live, len(outs))
 	}
-	if st := e.Stats(); st.CacheEntries != 6 {
-		t.Errorf("cache holds %d entries, want all 6 versions", st.CacheEntries)
+	if st := e.Stats(); st.CacheEntries != 1 {
+		t.Errorf("cache holds %d entries, want only the newest version's", st.CacheEntries)
 	}
 }
