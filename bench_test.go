@@ -21,7 +21,6 @@ import (
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/core"
 	"ensemfdet/internal/datagen"
-	"ensemfdet/internal/density"
 	"ensemfdet/internal/experiments"
 	"ensemfdet/internal/fdet"
 	"ensemfdet/internal/fraudar"
@@ -30,12 +29,11 @@ import (
 	"ensemfdet/internal/spectral"
 )
 
-// benchScale mirrors experiments.Quick but with a fixed seed distinct from
-// tests so cached datasets do not leak assumptions between suites.
+// benchScale is the unit-test scale of internal/experiments with a seed
+// distinct from the tests', so cached datasets do not leak assumptions
+// between suites.
 func benchScale() experiments.Scale {
-	s := experiments.Quick()
-	s.Seed = 99
-	return s
+	return experiments.Scale{Graph: 0.006, N: 32, TMax: 16, FraudarK: 10, SpectralRank: 25, Seed: 99}
 }
 
 func benchExperiment(b *testing.B, name string) {
@@ -92,17 +90,6 @@ func BenchmarkFDETFullGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fdet.Detect(g, fdet.Options{})
-	}
-}
-
-// BenchmarkPeelSingleBlock isolates one greedy peeling round.
-func BenchmarkPeelSingleBlock(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := fdet.Peel(g, density.Default()); !ok {
-			b.Fatal("no block")
-		}
 	}
 }
 

@@ -1,5 +1,6 @@
 // Command ensemfdetlint runs the repo's custom analyzer suite
-// (internal/analyze: determinism, lockdiscipline, durability, senterr).
+// (internal/analyze: determinism, lockdiscipline, durability, senterr,
+// atomic64).
 //
 // It speaks two protocols:
 //

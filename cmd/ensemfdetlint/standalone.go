@@ -30,7 +30,6 @@ type listPkg struct {
 	Export     string
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
-	DepsErrors []*struct{ Err string }
 }
 
 // runStandalone resolves package patterns with `go list -e -export -json
@@ -146,12 +145,12 @@ func analyzePkg(fset *token.FileSet, p *listPkg, exports map[string]string, gith
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	info := newTypesInfo()
-	pkg, _ := tcfg.Check(p.ImportPath, fset, files, info)
+	tcfg.Check(p.ImportPath, fset, files, info) // errors arrive through tcfg.Error
 	if len(typeErrs) > 0 {
 		for _, err := range typeErrs {
 			fmt.Fprintln(os.Stderr, err)
 		}
 		return len(typeErrs)
 	}
-	return runAnalyzers(p.ImportPath, fset, files, pkg, info, github)
+	return runAnalyzers(p.ImportPath, fset, files, info, github)
 }

@@ -15,22 +15,15 @@ import (
 	"ensemfdet/internal/analyze"
 )
 
-// vetConfig mirrors the JSON cmd/go writes for each package when driving a
-// -vettool. Field names must match cmd/go's encoding exactly.
+// vetConfig is the subset of the JSON cmd/go writes for each package when
+// driving a -vettool that ensemfdetlint reads. Field names must match
+// cmd/go's encoding exactly.
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
 	ImportMap                 map[string]string // source import path -> canonical path
 	PackageFile               map[string]string // canonical path -> export data file
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	GoVersion                 string
@@ -98,7 +91,7 @@ func runUnitchecker(cfgPath string) int {
 		Error:     func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	info := newTypesInfo()
-	pkg, _ := tcfg.Check(cfg.ImportPath, fset, files, info)
+	tcfg.Check(cfg.ImportPath, fset, files, info) // errors arrive through tcfg.Error
 	if len(typeErrs) > 0 {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -109,7 +102,7 @@ func runUnitchecker(cfgPath string) int {
 		return 1
 	}
 
-	n := runAnalyzers(cfg.ImportPath, fset, files, pkg, info, false)
+	n := runAnalyzers(cfg.ImportPath, fset, files, info, false)
 	if n > 0 {
 		return 2
 	}
@@ -129,7 +122,7 @@ func newTypesInfo() *types.Info {
 
 // runAnalyzers applies the whole suite to one loaded package and returns
 // the number of diagnostics reported.
-func runAnalyzers(path string, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, github bool) int {
+func runAnalyzers(path string, fset *token.FileSet, files []*ast.File, info *types.Info, github bool) int {
 	n := 0
 	for _, a := range analyze.All() {
 		pass := &analyze.Pass{
@@ -137,7 +130,6 @@ func runAnalyzers(path string, fset *token.FileSet, files []*ast.File, pkg *type
 			Fset:      fset,
 			Files:     files,
 			Path:      path,
-			Pkg:       pkg,
 			TypesInfo: info,
 			Report: func(d analyze.Diagnostic) {
 				n++

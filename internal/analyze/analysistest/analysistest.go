@@ -13,6 +13,8 @@
 // packages are type-checked against the real standard library (via the
 // compiler's source importer), so os.Rename, sync.Mutex, time.Now, and
 // friends resolve to their true objects.
+//
+//ensemfdet:testonly only the analyzer suite's tests import this package
 package analysistest
 
 import (
@@ -83,7 +85,7 @@ func Run(t *testing.T, testdata string, pkgPath string, a *analyze.Analyzer) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
+	_, err = conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
 	}
@@ -94,7 +96,6 @@ func Run(t *testing.T, testdata string, pkgPath string, a *analyze.Analyzer) {
 		Fset:      fset,
 		Files:     files,
 		Path:      pkgPath,
-		Pkg:       pkg,
 		TypesInfo: info,
 		Report:    func(d analyze.Diagnostic) { got = append(got, d) },
 	}

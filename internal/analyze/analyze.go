@@ -1,7 +1,8 @@
 // Package analyze is a suite of static analyzers that enforce the repo's
 // cross-cutting invariants — vote-path determinism, *Locked call discipline,
-// WAL/snapshot durability ordering, and sentinel-error comparison hygiene —
-// at compile time instead of hoping a runtime test gets lucky.
+// WAL/snapshot durability ordering, sentinel-error comparison hygiene, and
+// 32-bit-safe 64-bit atomics — at compile time instead of hoping a runtime
+// test gets lucky.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis (an
 // Analyzer runs over one type-checked package via a Pass and reports
@@ -32,8 +33,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and on the command line.
 	Name string
-	// Doc is a one-paragraph description of what the analyzer enforces.
-	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -49,7 +48,6 @@ type Pass struct {
 	// module for in-repo packages; fixture packages use their testdata-
 	// relative path).
 	Path      string
-	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Report receives each finding.
 	Report func(Diagnostic)
@@ -217,5 +215,5 @@ func isPkgFunc(f *types.Func, pkgPath, name string) bool {
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, LockDiscipline, Durability, SentErr}
+	return []*Analyzer{Determinism, LockDiscipline, Durability, SentErr, Atomic64}
 }

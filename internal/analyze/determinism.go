@@ -27,7 +27,6 @@ import (
 // metrics) that never feed vote bytes.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag nondeterministic constructs (map ranges, global math/rand, wall clock) on the byte-identical vote path",
 	Run:  runDeterminism,
 }
 

@@ -24,7 +24,6 @@ import (
 //     the call or the enclosing helper.
 var Durability = &Analyzer{
 	Name: "durability",
-	Doc:  "enforce tmp→fsync→rename→dir-fsync ordering and blessed-helper-only deletion in internal/persist",
 	Run:  runDurability,
 }
 

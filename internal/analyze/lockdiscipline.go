@@ -28,7 +28,6 @@ import (
 // lock provably arrives another way (e.g. a callback invoked under lock).
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "require *Locked functions to be called with the corresponding mutex held, and no exported re-entry under shard locks",
 	Run:  runLockDiscipline,
 }
 

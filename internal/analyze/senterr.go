@@ -20,7 +20,6 @@ import (
 // check.
 var SentErr = &Analyzer{
 	Name: "senterr",
-	Doc:  "flag ==/!= comparisons against sentinel errors; use errors.Is",
 	Run:  runSentErr,
 }
 

@@ -40,18 +40,6 @@ type Arena struct {
 // NewArena returns an empty arena. All tables are grown lazily on first use.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset drops the arena's logical contents (the last built subgraph's id
-// maps and edge buffer). It is not required between builds — every build
-// resets internally — but lets long-lived holders release references into
-// large id spaces without dropping the backing capacity.
-func (a *Arena) Reset() {
-	a.users.ids = a.users.ids[:0]
-	a.merchants.ids = a.merchants.ids[:0]
-	a.edges = a.edges[:0]
-	a.g = Graph{}
-	a.sub = Subgraph{}
-}
-
 // InducedByEdgesArena is InducedByEdges building into a. The given parent
 // edges are not modified.
 func (g *Graph) InducedByEdgesArena(a *Arena, edges []Edge) *Subgraph {

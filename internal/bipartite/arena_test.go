@@ -129,6 +129,4 @@ func TestArenaAcrossParents(t *testing.T) {
 			sameSubgraph(t, "alternating", g.InducedByUsersArena(a, users), g.InducedByUsers(users))
 		}
 	}
-	a.Reset()
-	sameSubgraph(t, "post-reset", big.InducedByUsersArena(a, []uint32{5}), big.InducedByUsers([]uint32{5}))
 }

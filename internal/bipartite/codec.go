@@ -1,8 +1,8 @@
 package bipartite
 
-// Binary CSR codec: the persistence snapshot format. Unlike WriteBinary,
-// which serializes the edge list and re-sorts into CSR on read, this codec
-// writes the dual-CSR arrays verbatim behind a versioned header and a
+// Binary CSR codec: the persistence snapshot format. Unlike the text edge
+// list, which re-sorts into CSR on read, this codec writes the dual-CSR
+// arrays verbatim behind a versioned header and a
 // trailing CRC32C, so loading a snapshot is a streamed copy plus an O(|E|)
 // validation pass — no O(|E| log |E|) rebuild at boot. The layout is
 // little-endian throughout:

@@ -75,13 +75,6 @@ func cmpMerchantMajor(a, b Edge) int {
 	return 0
 }
 
-// Extend returns the graph over prev's edges plus delta, with at least the
-// given side sizes. It is ExtendDelta with no deletions, kept for the
-// insert-only callers and tests that predate windowing.
-func (b *ExtendBuilder) Extend(prev *Graph, delta []Edge, numUsers, numMerchants int) *Graph {
-	return b.ExtendDelta(prev, delta, nil, numUsers, numMerchants)
-}
-
 // ExtendDelta returns the graph over (prev's edges \ deletes) ∪ inserts, with
 // at least the given side sizes (they are raised to cover prev and every
 // delta id, so passing the caller's tracked maxima is enough — note deleting

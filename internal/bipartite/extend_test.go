@@ -46,7 +46,7 @@ func TestExtendMatchesFullBuild(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := NewExtendBuilder().Extend(prev, tc.delta, 0, 0)
+			got := NewExtendBuilder().ExtendDelta(prev, tc.delta, nil, 0, 0)
 			if err := got.Validate(); err != nil {
 				t.Fatalf("extended graph invalid: %v", err)
 			}
@@ -66,13 +66,13 @@ func TestExtendChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := NewExtendBuilder()
 	var all []Edge
-	cur := NewExtendBuilder().Extend(nil, nil, 0, 0)
+	cur := NewExtendBuilder().ExtendDelta(nil, nil, nil, 0, 0)
 	for round := 0; round < 30; round++ {
 		delta := make([]Edge, 0, 40)
 		for i := 0; i < 1+rng.Intn(40); i++ {
 			delta = append(delta, Edge{U: uint32(rng.Intn(120)), V: uint32(rng.Intn(90))})
 		}
-		cur = b.Extend(cur, delta, 0, 0)
+		cur = b.ExtendDelta(cur, delta, nil, 0, 0)
 		all = append(all, delta...)
 		if err := cur.Validate(); err != nil {
 			t.Fatalf("round %d: invalid: %v", round, err)
@@ -88,7 +88,7 @@ func TestExtendChained(t *testing.T) {
 }
 
 func TestExtendRaisesDeclaredSizes(t *testing.T) {
-	g := NewExtendBuilder().Extend(nil, []Edge{{U: 5, V: 9}}, 100, 200)
+	g := NewExtendBuilder().ExtendDelta(nil, []Edge{{U: 5, V: 9}}, nil, 100, 200)
 	if g.NumUsers() != 100 || g.NumMerchants() != 200 {
 		t.Fatalf("declared sizes not honoured: %v", g)
 	}
@@ -171,7 +171,7 @@ func TestExtendDeltaChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	b := NewExtendBuilder()
 	live := map[Edge]struct{}{}
-	cur := NewExtendBuilder().Extend(nil, nil, 0, 0)
+	cur := NewExtendBuilder().ExtendDelta(nil, nil, nil, 0, 0)
 	for round := 0; round < 40; round++ {
 		inserts := make([]Edge, 0, 40)
 		for i := 0; i < 1+rng.Intn(40); i++ {
@@ -257,9 +257,9 @@ func TestExtendAllocsIndependentOfGraphSize(t *testing.T) {
 		prev := mustFromEdges(t, sz/8, sz/8, edges)
 		b := NewExtendBuilder()
 		delta := []Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}, {U: 7, V: 8}}
-		b.Extend(prev, delta, 0, 0) // warm the builder's scratch
+		b.ExtendDelta(prev, delta, nil, 0, 0) // warm the builder's scratch
 		counts[sz] = testing.AllocsPerRun(10, func() {
-			b.Extend(prev, delta, 0, 0)
+			b.ExtendDelta(prev, delta, nil, 0, 0)
 		})
 	}
 	if counts[1<<12] != counts[1<<15] {

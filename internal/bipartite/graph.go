@@ -9,7 +9,6 @@
 package bipartite
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -281,6 +280,3 @@ func buildFromEdges(numUsers, numMerchants int, edges []Edge) *Graph {
 	// merchant rows receive user ids in user-major order, hence already sorted.
 	return g
 }
-
-// ErrEmptyGraph is returned by algorithms that need at least one edge.
-var ErrEmptyGraph = errors.New("bipartite: graph has no edges")

@@ -2,7 +2,6 @@ package bipartite
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +16,7 @@ var ErrIDRange = errors.New("node id out of range")
 
 // Edge-list text format: one edge per line, "user<TAB>merchant" (or any run
 // of spaces/tabs as separator). Lines starting with '#' and blank lines are
-// ignored. Binary format: a fixed little-endian header followed by the edge
-// array; see writeBinaryHeader.
+// ignored.
 
 // ReadEdgeList parses a text edge list into a Graph. Side sizes are inferred
 // from the largest ids present. Ids up to MaxNodeID are accepted.
@@ -108,73 +106,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return fmt.Errorf("bipartite: writing edge list: %w", err)
 	}
 	return bw.Flush()
-}
-
-const binaryMagic = uint32(0xB1FA_0001)
-
-// WriteBinary writes g in the compact binary format. The format records side
-// sizes explicitly, so isolated trailing nodes round-trip exactly.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{binaryMagic, uint32(g.NumUsers()), uint32(g.NumMerchants()), uint32(g.NumEdges())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("bipartite: writing binary header: %w", err)
-		}
-	}
-	buf := make([]uint32, 0, 2*4096)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := binary.Write(bw, binary.LittleEndian, buf)
-		buf = buf[:0]
-		return err
-	}
-	var err error
-	g.Edges(func(e Edge) bool {
-		buf = append(buf, e.U, e.V)
-		if len(buf) == cap(buf) {
-			err = flush()
-		}
-		return err == nil
-	})
-	if err != nil {
-		return fmt.Errorf("bipartite: writing binary edges: %w", err)
-	}
-	if err := flush(); err != nil {
-		return fmt.Errorf("bipartite: writing binary edges: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the binary format written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("bipartite: reading binary header: %w", err)
-		}
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("bipartite: bad magic %#x", hdr[0])
-	}
-	numUsers, numMerchants, numEdges := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	raw := make([]uint32, 2*numEdges)
-	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
-		return nil, fmt.Errorf("bipartite: reading %d binary edges: %w", numEdges, err)
-	}
-	edges := make([]Edge, numEdges)
-	for i := range edges {
-		edges[i] = Edge{U: raw[2*i], V: raw[2*i+1]}
-	}
-	g, err := FromEdges(numUsers, numMerchants, edges)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

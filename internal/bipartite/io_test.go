@@ -2,7 +2,6 @@ package bipartite
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,64 +123,5 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g.EdgeList(), g2.EdgeList()) {
 		t.Errorf("round trip changed edges")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g, err := FromEdges(30, 40, randomEdges(rng, 30, 40, 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if g2.NumUsers() != g.NumUsers() || g2.NumMerchants() != g.NumMerchants() {
-		t.Fatalf("sizes differ: got (%d,%d), want (%d,%d)",
-			g2.NumUsers(), g2.NumMerchants(), g.NumUsers(), g.NumMerchants())
-	}
-	if !reflect.DeepEqual(g.EdgeList(), g2.EdgeList()) {
-		t.Errorf("binary round trip changed edges")
-	}
-}
-
-func TestBinaryPreservesIsolatedNodes(t *testing.T) {
-	g, err := FromEdges(10, 10, []Edge{{U: 0, V: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumUsers() != 10 || g2.NumMerchants() != 10 {
-		t.Errorf("isolated nodes lost: (%d,%d)", g2.NumUsers(), g2.NumMerchants())
-	}
-}
-
-func TestReadBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 32))); err == nil {
-		t.Error("ReadBinary accepted zeroed header")
-	}
-}
-
-func TestReadBinaryTruncated(t *testing.T) {
-	g := smallGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("ReadBinary accepted truncated payload")
 	}
 }

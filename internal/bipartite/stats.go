@@ -24,14 +24,6 @@ func (s Side) String() string {
 	}
 }
 
-// Other returns the opposite side.
-func (s Side) Other() Side {
-	if s == UserSide {
-		return MerchantSide
-	}
-	return UserSide
-}
-
 // NumNodesOn returns the number of nodes on the given side.
 func (g *Graph) NumNodesOn(side Side) int {
 	if side == UserSide {
@@ -108,42 +100,4 @@ func (g *Graph) DegreeQuantile(side Side, q float64) int {
 		idx = n - 1
 	}
 	return degs[idx]
-}
-
-// Stats is a compact statistical summary of a graph, in the shape of the
-// paper's Table I rows.
-type Stats struct {
-	Users            int
-	Merchants        int
-	Edges            int
-	AvgUserDegree    float64
-	AvgMerchDegree   float64
-	MaxUserDegree    int
-	MaxMerchDegree   int
-	IsolatedUsers    int // degree-0 users
-	IsolatedMerchant int // degree-0 merchants
-}
-
-// Summarize computes Stats for g.
-func Summarize(g *Graph) Stats {
-	s := Stats{
-		Users:          g.NumUsers(),
-		Merchants:      g.NumMerchants(),
-		Edges:          g.NumEdges(),
-		AvgUserDegree:  g.AvgDegree(UserSide),
-		AvgMerchDegree: g.AvgDegree(MerchantSide),
-		MaxUserDegree:  g.MaxDegree(UserSide),
-		MaxMerchDegree: g.MaxDegree(MerchantSide),
-	}
-	for u := 0; u < g.NumUsers(); u++ {
-		if g.UserDegree(uint32(u)) == 0 {
-			s.IsolatedUsers++
-		}
-	}
-	for v := 0; v < g.NumMerchants(); v++ {
-		if g.MerchantDegree(uint32(v)) == 0 {
-			s.IsolatedMerchant++
-		}
-	}
-	return s
 }

@@ -7,9 +7,6 @@ import (
 )
 
 func TestSideHelpers(t *testing.T) {
-	if UserSide.Other() != MerchantSide || MerchantSide.Other() != UserSide {
-		t.Error("Side.Other is not an involution")
-	}
 	if UserSide.String() != "user" || MerchantSide.String() != "merchant" {
 		t.Errorf("Side.String: %q / %q", UserSide, MerchantSide)
 	}
@@ -84,22 +81,5 @@ func TestDegreeQuantile(t *testing.T) {
 	empty := NewBuilder().Build()
 	if empty.DegreeQuantile(UserSide, 0.5) != 0 {
 		t.Error("quantile on empty side != 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	g, err := FromEdges(4, 3, []Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 1, V: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(g)
-	if s.Users != 4 || s.Merchants != 3 || s.Edges != 3 {
-		t.Errorf("sizes wrong: %+v", s)
-	}
-	if s.MaxUserDegree != 2 || s.MaxMerchDegree != 2 {
-		t.Errorf("max degrees wrong: %+v", s)
-	}
-	if s.IsolatedUsers != 2 || s.IsolatedMerchant != 1 {
-		t.Errorf("isolated counts wrong: %+v", s)
 	}
 }

@@ -517,13 +517,3 @@ func (env *runEnv) addVotes(i int) {
 		env.out.Votes.Merchant[id]++
 	}
 }
-
-// Detect runs the full Algorithm 2 pipeline and applies MVA at threshold T,
-// returning the final fraud sets (U_final, V_final).
-func Detect(g *bipartite.Graph, cfg Config, t int) (users, merchants []uint32, err error) {
-	out, err := Run(g, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.Votes.AcceptUsers(t), out.Votes.AcceptMerchants(t), nil
-}

@@ -282,14 +282,18 @@ func TestRunEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestDetectConvenience applies MVA at T = 6 to one run's votes, giving the
+// final fraud sets (U_final, V_final) of Algorithm 2, and finds planted
+// fraud users among them.
 func TestDetectConvenience(t *testing.T) {
 	g, fraud := plantedGraph(13, 300, 300, 600, 1, 10, 10)
-	users, merchants, err := Detect(g, testConfig(), 6)
+	out, err := Run(g, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	users, merchants := out.Votes.AcceptUsers(6), out.Votes.AcceptMerchants(6)
 	if len(users) == 0 || len(merchants) == 0 {
-		t.Fatalf("Detect returned empty sets (%d users, %d merchants)", len(users), len(merchants))
+		t.Fatalf("empty fraud sets at T=6 (%d users, %d merchants)", len(users), len(merchants))
 	}
 	hits := 0
 	for _, u := range users {
@@ -298,7 +302,7 @@ func TestDetectConvenience(t *testing.T) {
 		}
 	}
 	if hits == 0 {
-		t.Error("Detect found no planted fraud users")
+		t.Error("no planted fraud users at T=6")
 	}
 }
 

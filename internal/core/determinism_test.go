@@ -41,11 +41,21 @@ func referenceVotes(t *testing.T, g *bipartite.Graph, cfg Config) Votes {
 			opts.MerchantWeights[lv] = parentWeights[sg.ParentMerchant(uint32(lv))]
 		}
 		res := fdet.Detect(sg.Graph, opts)
-		for _, lu := range res.DetectedUsers() {
-			votes.User[sg.ParentUser(lu)]++
-		}
-		for _, lv := range res.DetectedMerchants() {
-			votes.Merchant[sg.ParentMerchant(lv)]++
+		// A sample votes once for each node in any of its retained blocks.
+		votedU, votedM := make(map[uint32]bool), make(map[uint32]bool)
+		for _, blk := range res.Blocks {
+			for _, lu := range blk.Users {
+				if !votedU[lu] {
+					votedU[lu] = true
+					votes.User[sg.ParentUser(lu)]++
+				}
+			}
+			for _, lv := range blk.Merchants {
+				if !votedM[lv] {
+					votedM[lv] = true
+					votes.Merchant[sg.ParentMerchant(lv)]++
+				}
+			}
 		}
 	}
 	return votes

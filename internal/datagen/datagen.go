@@ -26,6 +26,13 @@ import (
 	"ensemfdet/internal/eval"
 )
 
+// Zipf exponents of the background traffic: merchant popularity is skewed
+// more than user activity, matching Davg(merchant) ≫ Davg(PIN) in §V-C2.
+const (
+	merchantZipfS = 1.3
+	userZipfS     = 1.8
+)
+
 // CommunitySpec describes one legitimate dense shopping community — a set
 // of honest users concentrating purchases on a shared merchant pool
 // (regional customers, category enthusiasts). Communities are what makes
@@ -66,12 +73,6 @@ type Config struct {
 	BackgroundUsers     int
 	BackgroundMerchants int
 	BackgroundEdges     int
-	// MerchantZipfS ≥ 1.01 skews merchant popularity (bigger = more skew);
-	// 0 means 1.3.
-	MerchantZipfS float64
-	// UserZipfS skews user activity; 0 means 1.8 (users are less skewed
-	// than merchants, matching Davg(merchant) ≫ Davg(PIN) in §V-C2).
-	UserZipfS float64
 
 	// Communities are legitimate dense regions drawn over background ids.
 	Communities []CommunitySpec
@@ -150,20 +151,12 @@ func Generate(cfg Config) (*Dataset, error) {
 		cfg.BackgroundEdges+estimatedFraudEdges(cfg.Groups))
 
 	// --- background traffic ---
-	mzs := cfg.MerchantZipfS
-	if mzs == 0 {
-		mzs = 1.3
-	}
-	uzs := cfg.UserZipfS
-	if uzs == 0 {
-		uzs = 1.8
-	}
 	// The Zipf offset v flattens the distribution's head so the busiest
 	// node carries a few percent of traffic, not tens of percent; without
 	// it, duplicate (u, v) draws collapse under dedup and the realized
 	// edge count falls far short of the Table I target.
-	merchZipf := rand.NewZipf(rng, mzs, 1+float64(cfg.BackgroundMerchants)/200, uint64(cfg.BackgroundMerchants-1))
-	userZipf := rand.NewZipf(rng, uzs, 1+float64(cfg.BackgroundUsers)/100, uint64(cfg.BackgroundUsers-1))
+	merchZipf := rand.NewZipf(rng, merchantZipfS, 1+float64(cfg.BackgroundMerchants)/200, uint64(cfg.BackgroundMerchants-1))
+	userZipf := rand.NewZipf(rng, userZipfS, 1+float64(cfg.BackgroundUsers)/100, uint64(cfg.BackgroundUsers-1))
 	// Permute ids so popularity is not correlated with id order (samplers
 	// and detectors must not be able to exploit id structure).
 	userPerm := rng.Perm(cfg.BackgroundUsers)

@@ -101,33 +101,3 @@ func ScoreWithWeights(g *bipartite.Graph, w []float64) float64 {
 	}
 	return total / float64(n)
 }
-
-// ScoreSubset computes φ of the subgraph induced by the given node subset of
-// g, with weights taken from g itself. It is O(Σ deg(u)) over the selected
-// users and exists mainly to cross-check the incremental peeling engine in
-// tests.
-func ScoreSubset(g *bipartite.Graph, m Metric, users, merchants []uint32) float64 {
-	n := len(users) + len(merchants)
-	if n == 0 {
-		return 0
-	}
-	w := m.MerchantWeights(g)
-	inMerch := make(map[uint32]bool, len(merchants))
-	for _, v := range merchants {
-		inMerch[v] = true
-	}
-	total := 0.0
-	seen := make(map[uint32]bool, len(users))
-	for _, u := range users {
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		for _, v := range g.UserNeighbors(u) {
-			if inMerch[v] {
-				total += w[v]
-			}
-		}
-	}
-	return total / float64(n)
-}

@@ -52,40 +52,6 @@ func TestScoreEmptyGraph(t *testing.T) {
 	if Score(g, Default()) != 0 {
 		t.Error("empty graph score != 0")
 	}
-	if ScoreSubset(g, Default(), nil, nil) != 0 {
-		t.Error("empty subset score != 0")
-	}
-}
-
-func TestScoreSubsetMatchesWhole(t *testing.T) {
-	g := block(t, 3, 3)
-	users := []uint32{0, 1, 2}
-	merchants := []uint32{0, 1, 2}
-	whole := Score(g, Default())
-	sub := ScoreSubset(g, Default(), users, merchants)
-	if math.Abs(whole-sub) > 1e-12 {
-		t.Errorf("whole = %g, subset-of-everything = %g", whole, sub)
-	}
-}
-
-func TestScoreSubsetDenser(t *testing.T) {
-	// A dense block embedded in a sparse background must out-score the whole
-	// graph.
-	b := bipartite.NewBuilderSized(20, 20, 0)
-	for u := 0; u < 5; u++ {
-		for v := 0; v < 5; v++ {
-			b.AddEdge(uint32(u), uint32(v))
-		}
-	}
-	for u := 5; u < 20; u++ {
-		b.AddEdge(uint32(u), uint32(u))
-	}
-	g := b.Build()
-	blockScore := ScoreSubset(g, Default(), []uint32{0, 1, 2, 3, 4}, []uint32{0, 1, 2, 3, 4})
-	wholeScore := Score(g, Default())
-	if blockScore <= wholeScore {
-		t.Errorf("block %g not denser than whole %g", blockScore, wholeScore)
-	}
 }
 
 func TestCamouflageResistance(t *testing.T) {
@@ -113,16 +79,22 @@ func TestCamouflageResistance(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	m := Default()
-	usersA, merchA := []uint32{0, 1, 2, 3, 4}, []uint32{0, 1, 2, 3, 4}
-	usersB, merchB := []uint32{5, 6, 7, 8, 9}, []uint32{5, 6, 7, 8, 9}
-	a := ScoreSubset(g, m, usersA, merchA)
-	bb := ScoreSubset(g, m, usersB, merchB)
+	// Both blocks are complete 5 x 5, so each one's φ is 5·Σw over its
+	// merchants divided by its 10 nodes, with the weights taken from g.
+	blockScore := func(m Metric, merchants []uint32) float64 {
+		w := m.MerchantWeights(g)
+		sum := 0.0
+		for _, v := range merchants {
+			sum += w[v]
+		}
+		return 5 * sum / 10
+	}
+	merchA, merchB := []uint32{0, 1, 2, 3, 4}, []uint32{5, 6, 7, 8, 9}
+	a, bb := blockScore(Default(), merchA), blockScore(Default(), merchB)
 	if a <= bb {
 		t.Errorf("column-weighted: clean block %g should out-score camouflaged block %g", a, bb)
 	}
-	ua := ScoreSubset(g, AvgDegree{}, usersA, merchA)
-	ub := ScoreSubset(g, AvgDegree{}, usersB, merchB)
+	ua, ub := blockScore(AvgDegree{}, merchA), blockScore(AvgDegree{}, merchB)
 	if math.Abs(ua-ub) > 1e-12 {
 		t.Errorf("avg-degree should not distinguish the blocks: %g vs %g", ua, ub)
 	}

@@ -82,9 +82,6 @@ func (m Metrics) String() string {
 // CurvePoint is one operating point of a detector, e.g. one vote threshold
 // or one Fraudar block prefix.
 type CurvePoint struct {
-	// Param is the detector knob producing this point (vote threshold T,
-	// block count k, score cutoff...), recorded for reporting.
-	Param float64
 	Metrics
 }
 
@@ -110,18 +107,6 @@ func (c Curve) MaxF1() (best CurvePoint) {
 		}
 	}
 	return best
-}
-
-// PrecisionAtRecall returns the highest precision among points whose recall
-// is at least r, and false when no point qualifies.
-func (c Curve) PrecisionAtRecall(r float64) (float64, bool) {
-	best, found := 0.0, false
-	for _, p := range c {
-		if p.Recall >= r && p.Precision > best {
-			best, found = p.Precision, true
-		}
-	}
-	return best, found
 }
 
 // AUCPR returns the area under the precision-recall curve by trapezoidal
@@ -160,35 +145,7 @@ func (c Curve) MaxDetectedGap() int {
 	return gap
 }
 
-// InterpolateAtDetected estimates a metric at a target detected count by
-// linear interpolation between the two bracketing points; it returns false
-// when the target is outside the curve's range. Used for fair EnsemFDet-vs-
-// Fraudar comparisons "when they detect the equivalent fraud nodes" (§V-C1).
-func (c Curve) InterpolateAtDetected(target int, metric func(Metrics) float64) (float64, bool) {
-	if len(c) == 0 {
-		return 0, false
-	}
-	pts := append(Curve(nil), c...)
-	pts.SortByDetected()
-	if target < pts[0].Detected || target > pts[len(pts)-1].Detected {
-		return 0, false
-	}
-	for i := 1; i < len(pts); i++ {
-		lo, hi := pts[i-1], pts[i]
-		if target > hi.Detected {
-			continue
-		}
-		if hi.Detected == lo.Detected {
-			return metric(hi.Metrics), true
-		}
-		t := float64(target-lo.Detected) / float64(hi.Detected-lo.Detected)
-		return metric(lo.Metrics) + t*(metric(hi.Metrics)-metric(lo.Metrics)), true
-	}
-	return metric(pts[len(pts)-1].Metrics), true
-}
-
-// F1Of and PrecisionOf and RecallOf are metric selectors for
-// InterpolateAtDetected.
+// F1Of and PrecisionOf and RecallOf select one metric of a curve point.
 func F1Of(m Metrics) float64        { return m.F1 }
 func PrecisionOf(m Metrics) float64 { return m.Precision }
 func RecallOf(m Metrics) float64    { return m.Recall }
@@ -236,7 +193,7 @@ func ScoredCurve(l *Labels, scores []float64, cutoffs []int) Curve {
 		}
 		prev = k
 		m := Evaluate(l, detected)
-		curve = append(curve, CurvePoint{Param: float64(k), Metrics: m})
+		curve = append(curve, CurvePoint{Metrics: m})
 	}
 	return curve
 }

@@ -140,34 +140,6 @@ func TestCurveMaxDetectedGap(t *testing.T) {
 	}
 }
 
-func TestPrecisionAtRecall(t *testing.T) {
-	c := mkCurve([3]float64{10, 0.9, 0.1}, [3]float64{50, 0.6, 0.4}, [3]float64{100, 0.3, 0.7})
-	p, ok := c.PrecisionAtRecall(0.4)
-	if !ok || math.Abs(p-0.6) > 1e-12 {
-		t.Errorf("PrecisionAtRecall(0.4) = (%g,%v)", p, ok)
-	}
-	if _, ok := c.PrecisionAtRecall(0.9); ok {
-		t.Error("recall 0.9 unreachable but reported")
-	}
-}
-
-func TestInterpolateAtDetected(t *testing.T) {
-	c := mkCurve([3]float64{10, 1.0, 0.1}, [3]float64{20, 0.5, 0.2})
-	got, ok := c.InterpolateAtDetected(15, PrecisionOf)
-	if !ok || math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("interp = (%g,%v), want (0.75,true)", got, ok)
-	}
-	if _, ok := c.InterpolateAtDetected(5, PrecisionOf); ok {
-		t.Error("below-range target interpolated")
-	}
-	if _, ok := c.InterpolateAtDetected(25, PrecisionOf); ok {
-		t.Error("above-range target interpolated")
-	}
-	if _, ok := (Curve{}).InterpolateAtDetected(1, F1Of); ok {
-		t.Error("empty curve interpolated")
-	}
-}
-
 func TestScoredCurve(t *testing.T) {
 	// Users 0..3 fraud; scores rank them on top.
 	l := NewLabels(8, []uint32{0, 1, 2, 3})

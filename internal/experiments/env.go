@@ -35,14 +35,6 @@ type Scale struct {
 	Parallelism int
 }
 
-// Quick returns the unit-test scale: seconds, not minutes. SpectralRank
-// stays at the paper's 25: fewer components would under-dilute the spectral
-// baselines (SPOKEN flags whichever structures the leading components
-// describe; the paper's setting mixes communities in).
-func Quick() Scale {
-	return Scale{Graph: 0.006, N: 32, TMax: 16, FraudarK: 10, SpectralRank: 25, Seed: 7}
-}
-
 // Default returns the cmd/repro scale: a faithful miniature of the paper's
 // setup (all parameter values literal, graphs at 2% of Table I).
 func Default() Scale {
@@ -101,7 +93,7 @@ func VoteCurve(votes *core.Votes, labels *eval.Labels) eval.Curve {
 			continue
 		}
 		m := eval.Evaluate(labels, det)
-		curve = append(curve, eval.CurvePoint{Param: float64(t), Metrics: m})
+		curve = append(curve, eval.CurvePoint{Metrics: m})
 	}
 	return curve
 }

@@ -25,25 +25,20 @@ type Table3Row struct {
 	EnsemFDet time.Duration // S=0.1
 	Fraudar   time.Duration // K blocks on the full graph
 	SpeedupX  float64
-	// SerialWork is the summed per-sample duration: what one core would
-	// spend on the whole ensemble.
-	SerialWork time.Duration
 	// Projected wall time and speedup with the paper's one-core-per-sample
 	// deployment.
 	Projected         time.Duration
 	ProjectedSpeedupX float64
 	// The S=0.01 run backing the paper's "up to 100x faster" claim.
-	EnsemFDet001        time.Duration
 	Projected001        time.Duration
 	Projected001Speedup float64
 }
 
 // Table3Result reproduces Table III: running time of ENSEMFDET vs FRAUDAR.
 type Table3Result struct {
-	N           int
-	FraudarK    int
-	Parallelism int
-	Rows        []Table3Row
+	N        int
+	FraudarK int
+	Rows     []Table3Row
 }
 
 // RunTable3 times both heuristics on all three datasets. Wall-clock numbers
@@ -69,12 +64,10 @@ func RunTable3(env *Env) (*Table3Result, error) {
 
 		cfg001 := cfg
 		cfg001.SampleRatio = 0.01
-		start = time.Now()
 		out001, err := core.Run(ds.Graph, cfg001)
 		if err != nil {
 			return nil, err
 		}
-		ensem001Dur := time.Since(start)
 
 		start = time.Now()
 		fraudar.Detect(ds.Graph, fraudar.Config{K: env.Scale.FraudarK})
@@ -93,10 +86,8 @@ func RunTable3(env *Env) (*Table3Result, error) {
 			EnsemFDet:           ensemDur,
 			Fraudar:             fraudarDur,
 			SpeedupX:            ratio(fraudarDur, ensemDur),
-			SerialWork:          out.TotalWork(),
 			Projected:           projected,
 			ProjectedSpeedupX:   ratio(fraudarDur, projected),
-			EnsemFDet001:        ensem001Dur,
 			Projected001:        projected001,
 			Projected001Speedup: ratio(fraudarDur, projected001),
 		})

@@ -1,13 +1,14 @@
 // Package faultinject is a deterministic, seed-driven fault injector for the
-// durability and replication stack. Production code exposes named injection
-// points (persist.Options.Inject, the replication Node's crash-points) and
-// drill tests arm rules against them: WAL write/fsync errors, snapshot and
-// fence write failures, crashes around the promote fsync, and — through
-// Transport — dropped, delayed, or torn replication HTTP exchanges.
+// replication stack. Production code exposes named injection points (the
+// replication Node's crash-points) and drill tests arm rules against them:
+// crashes around the promote fsync, and — through Transport — dropped,
+// delayed, or torn replication HTTP exchanges.
 //
 // Every decision an Injector makes flows from its seed, so a failing drill
 // replays byte-identically. The zero-value rules are the common cases: an
 // armed point with an empty Rule fires on every check.
+//
+//ensemfdet:testonly only drill tests import this package
 package faultinject
 
 import (

@@ -10,7 +10,6 @@ package fbox
 
 import (
 	"math"
-	"sort"
 
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/spectral"
@@ -20,16 +19,10 @@ import (
 // SPOKEN's 25 components.
 const DefaultK = 25
 
-// DefaultTauPercent is the percentile threshold τ of the FBOX paper's
-// recommended operating point (they report τ ∈ {1%, 5%, 10%}).
-const DefaultTauPercent = 5.0
-
 // Config parameterizes FBOX.
 type Config struct {
 	// K is the truncation rank of the SVD; 0 means DefaultK.
 	K int
-	// PowerIters tunes the underlying randomized SVD; 0 means its default.
-	PowerIters int
 	// Seed makes the decomposition deterministic.
 	Seed int64
 	// MinDegree excludes users with fewer edges from scoring (their
@@ -57,8 +50,6 @@ func (c Config) minDegree() int {
 // NaN and are excluded from thresholding.
 type Result struct {
 	UserScores []float64
-	// ReconNorms[u] is ‖P_k(row_u)‖₂, kept for diagnostics and tests.
-	ReconNorms []float64
 }
 
 // Score computes FBOX suspiciousness for every user.
@@ -66,7 +57,6 @@ func Score(g *bipartite.Graph, cfg Config) Result {
 	nu := g.NumUsers()
 	res := Result{
 		UserScores: make([]float64, nu),
-		ReconNorms: make([]float64, nu),
 	}
 	for u := range res.UserScores {
 		res.UserScores[u] = math.NaN()
@@ -75,7 +65,7 @@ func Score(g *bipartite.Graph, cfg Config) Result {
 		return res
 	}
 	adj := spectral.Adjacency(g)
-	svd := spectral.Decompose(g, cfg.k(), cfg.PowerIters, cfg.Seed)
+	svd := spectral.Decompose(g, cfg.k(), cfg.Seed)
 	minDeg := cfg.minDegree()
 	for u := 0; u < nu; u++ {
 		if g.UserDegree(uint32(u)) < minDeg {
@@ -83,7 +73,6 @@ func Score(g *bipartite.Graph, cfg Config) Result {
 		}
 		actual := adj.RowNorm2(u) // = sqrt(degree) for a 0/1 row
 		recon := svd.ReconstructedRowNorm(u)
-		res.ReconNorms[u] = recon
 		ratio := recon / actual
 		if ratio > 1 {
 			ratio = 1 // numerical overshoot
@@ -91,39 +80,4 @@ func Score(g *bipartite.Graph, cfg Config) Result {
 		res.UserScores[u] = 1 - ratio
 	}
 	return res
-}
-
-// Detect applies the percentile rule: it flags the users whose
-// reconstruction ratio falls in the lowest tauPercent of scored users
-// (equivalently, suspiciousness in the top tauPercent). tauPercent ≤ 0 uses
-// DefaultTauPercent.
-func (r Result) Detect(tauPercent float64) []uint32 {
-	if tauPercent <= 0 {
-		tauPercent = DefaultTauPercent
-	}
-	type su struct {
-		id uint32
-		s  float64
-	}
-	var scored []su
-	for u, s := range r.UserScores {
-		if !math.IsNaN(s) {
-			scored = append(scored, su{uint32(u), s})
-		}
-	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].s != scored[j].s {
-			return scored[i].s > scored[j].s
-		}
-		return scored[i].id < scored[j].id
-	})
-	n := int(math.Ceil(float64(len(scored)) * tauPercent / 100))
-	if n > len(scored) {
-		n = len(scored)
-	}
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		out[i] = scored[i].id
-	}
-	return out
 }

@@ -44,10 +44,6 @@ type Options struct {
 	// and disables truncation. This is the ENSEMFDET-FIX-K variant and also
 	// how the FRAUDAR baseline's K-block mode is expressed.
 	FixedK int
-	// Lookahead is how many blocks past the current elbow estimate are
-	// detected before stopping early; 0 means DefaultLookahead. Ignored
-	// when DisableEarlyStop is set.
-	Lookahead int
 	// DisableEarlyStop forces detection to run to MaxBlocks (or an empty
 	// graph) before truncating. Used by tests to validate the early-stop
 	// heuristic against the exhaustive result.
@@ -74,58 +70,6 @@ type Result struct {
 	TruncatedAt int
 }
 
-// DetectedUsers returns the union of user ids over retained blocks, sorted
-// ascending.
-func (r Result) DetectedUsers() []uint32 { return unionIDs(r.Blocks, true) }
-
-// DetectedMerchants returns the union of merchant ids over retained blocks,
-// sorted ascending.
-func (r Result) DetectedMerchants() []uint32 { return unionIDs(r.Blocks, false) }
-
-// unionIDs unions one side's ids over blocks. Block ids are dense local ids
-// of the peeled (sub)graph, so a membership slice sized to the largest id
-// replaces the old per-call map: one bulk allocation instead of per-id map
-// inserts, and the ascending collection scan makes the output sorted — an
-// order callers can rely on (pinned by tests).
-func unionIDs(blocks []Block, users bool) []uint32 {
-	maxID := -1
-	for _, b := range blocks {
-		ids := b.Users
-		if !users {
-			ids = b.Merchants
-		}
-		for _, id := range ids {
-			if int(id) > maxID {
-				maxID = int(id)
-			}
-		}
-	}
-	if maxID < 0 {
-		return nil
-	}
-	seen := make([]bool, maxID+1)
-	n := 0
-	for _, b := range blocks {
-		ids := b.Users
-		if !users {
-			ids = b.Merchants
-		}
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				n++
-			}
-		}
-	}
-	out := make([]uint32, 0, n)
-	for id, ok := range seen {
-		if ok {
-			out = append(out, uint32(id))
-		}
-	}
-	return out
-}
-
 // Scratch holds the reusable state of one FDET worker: the peeler's alive
 // adjacency, heap, priority/degree/order/membership tables, and the block
 // and score storage of the last detection. A worker that runs many FDET
@@ -143,19 +87,12 @@ type Scratch struct {
 	scoreBuf []float64
 }
 
-// NewScratch returns an empty scratch; all state is grown lazily.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // Detect runs FDET on g exactly like the package-level Detect but reuses
 // s's buffers. Results are identical; see the Scratch aliasing contract.
 func (s *Scratch) Detect(g *bipartite.Graph, opts Options) Result {
 	maxBlocks := opts.MaxBlocks
 	if maxBlocks <= 0 {
 		maxBlocks = DefaultMaxBlocks
-	}
-	lookahead := opts.Lookahead
-	if lookahead <= 0 {
-		lookahead = DefaultLookahead
 	}
 	if opts.FixedK > 0 {
 		maxBlocks = opts.FixedK
@@ -185,7 +122,7 @@ func (s *Scratch) Detect(g *bipartite.Graph, opts Options) Result {
 			continue
 		}
 		if len(scores) >= 3 {
-			if kHat := TruncatingPoint(scores); len(scores) >= kHat+lookahead {
+			if kHat := TruncatingPoint(scores); len(scores) >= kHat+DefaultLookahead {
 				break
 			}
 		}
@@ -237,32 +174,4 @@ func TruncatingPoint(scores []float64) int {
 		}
 	}
 	return best + 1 // keep blocks 0..best inclusive
-}
-
-// SecondDifferences returns Δ²φ for each interior index of scores; it is
-// exposed for experiment reporting (Figure 1 analysis).
-func SecondDifferences(scores []float64) []float64 {
-	if len(scores) < 3 {
-		return nil
-	}
-	out := make([]float64, len(scores)-2)
-	for i := 1; i+1 < len(scores); i++ {
-		out[i-1] = scores[i+1] - float64(2*scores[i]) + scores[i-1]
-	}
-	return out
-}
-
-// Peel runs a single densest-block peeling round on g (no edge removal, no
-// truncation). It returns ok=false when g has no edges.
-func Peel(g *bipartite.Graph, metric density.Metric) (Block, bool) {
-	if metric == nil {
-		metric = density.Default()
-	}
-	var p peeler
-	p.reset(g, metric.MerchantWeights(g))
-	ref, ok := p.peelOnce()
-	if !ok {
-		return Block{}, false
-	}
-	return p.block(ref), true
 }

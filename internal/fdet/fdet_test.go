@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"ensemfdet/internal/bipartite"
+	"ensemfdet/internal/datagen"
 	"ensemfdet/internal/density"
 )
 
@@ -84,7 +85,7 @@ func TestPeelScoreMatchesScoreSubset(t *testing.T) {
 		if !ok {
 			t.Fatal("no block")
 		}
-		direct := density.ScoreSubset(g, density.Default(), blk.Users, blk.Merchants)
+		direct := scoreSubset(g, density.Default(), blk.Users, blk.Merchants)
 		if math.Abs(direct-blk.Score) > 1e-9 {
 			t.Errorf("seed %d: incremental score %g != direct %g", seed, blk.Score, direct)
 		}
@@ -107,7 +108,7 @@ func TestPropertyPeelBlockIsBestSuffix(t *testing.T) {
 		if !ok {
 			return g.NumEdges() == 0
 		}
-		direct := density.ScoreSubset(g, density.Default(), blk.Users, blk.Merchants)
+		direct := scoreSubset(g, density.Default(), blk.Users, blk.Merchants)
 		if math.Abs(direct-blk.Score) > 1e-9 {
 			return false
 		}
@@ -124,7 +125,7 @@ func TestPropertyPeelBlockIsBestSuffix(t *testing.T) {
 				merchants = append(merchants, uint32(v))
 			}
 		}
-		whole := density.ScoreSubset(g, density.Default(), users, merchants)
+		whole := scoreSubset(g, density.Default(), users, merchants)
 		return blk.Score >= whole-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -391,5 +392,20 @@ func TestDetectDegenerateInputs(t *testing.T) {
 	blk = res.Blocks[0]
 	if len(blk.Users) != 4 || len(blk.Merchants) != 4 || blk.Score != 2 { // 16 edges / 8 nodes
 		t.Fatalf("biclique block %dx%d score %v, want 4x4 score 2", len(blk.Users), len(blk.Merchants), blk.Score)
+	}
+}
+
+// BenchmarkPeelSingleBlock isolates one greedy peeling round on Dataset #1
+// at the unit-test scale.
+func BenchmarkPeelSingleBlock(b *testing.B) {
+	ds, err := datagen.GeneratePreset(datagen.Dataset1, 0.006, 99)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := Peel(ds.Graph, density.Default()); !ok {
+			b.Fatal("no block")
+		}
 	}
 }

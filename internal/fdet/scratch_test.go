@@ -76,7 +76,7 @@ var detectVariants = []struct {
 // Shrinking then growing the graph between runs is the interesting case:
 // stale buffer tails must never leak into a later detection.
 func TestScratchDetectMatchesDetect(t *testing.T) {
-	s := NewScratch()
+	s := &Scratch{}
 	for _, sh := range detectShapes {
 		g, _ := plantedGraph(sh.seed, sh.bgU, sh.bgM, sh.bgE, sh.blocks, sh.blkU, sh.blkM)
 		for _, v := range detectVariants {
@@ -92,7 +92,7 @@ func TestScratchDetectMatchesDetect(t *testing.T) {
 // scratch handed an empty graph must return an empty result, not stale
 // blocks from the previous run.
 func TestScratchDetectEmptyGraph(t *testing.T) {
-	s := NewScratch()
+	s := &Scratch{}
 	g, _ := plantedGraph(11, 100, 100, 300, 1, 5, 5)
 	if res := s.Detect(g, Options{}); len(res.Blocks) == 0 {
 		t.Fatal("warm-up detection found nothing")

@@ -13,7 +13,6 @@ package fraudar
 
 import (
 	"ensemfdet/internal/bipartite"
-	"ensemfdet/internal/density"
 	"ensemfdet/internal/eval"
 	"ensemfdet/internal/fdet"
 )
@@ -26,8 +25,6 @@ const DefaultK = 30
 type Config struct {
 	// K is the number of blocks detected; 0 means DefaultK.
 	K int
-	// Metric is the density score; nil means density.Default().
-	Metric density.Metric
 }
 
 func (c Config) k() int {
@@ -44,10 +41,7 @@ type Result struct {
 
 // Detect runs FRAUDAR on the full graph.
 func Detect(g *bipartite.Graph, cfg Config) Result {
-	res := fdet.Detect(g, fdet.Options{
-		Metric: cfg.Metric,
-		FixedK: cfg.k(),
-	})
+	res := fdet.Detect(g, fdet.Options{FixedK: cfg.k()})
 	return Result{Blocks: res.Blocks}
 }
 
@@ -78,7 +72,7 @@ func (r Result) Curve(labels *eval.Labels) eval.Curve {
 	var curve eval.Curve
 	for k := 1; k <= len(r.Blocks); k++ {
 		m := eval.Evaluate(labels, r.PrefixUsers(k))
-		curve = append(curve, eval.CurvePoint{Param: float64(k), Metrics: m})
+		curve = append(curve, eval.CurvePoint{Metrics: m})
 	}
 	return curve
 }

@@ -24,7 +24,7 @@ type slot struct {
 }
 
 // Heap is an indexed min-heap of float64 priorities keyed by dense int ids in
-// [0, capacity). Construct with New, or Reset a zero value.
+// [0, capacity). Reset a zero value before use.
 type Heap struct {
 	slots []slot
 	pos   []int32 // pos[id] = index in slots, or -1 if absent
@@ -33,17 +33,10 @@ type Heap struct {
 
 const absent = int32(-1)
 
-// New returns a heap able to hold ids in [0, capacity).
-func New(capacity int) *Heap {
-	h := &Heap{}
-	h.Reset(capacity)
-	return h
-}
-
 // Reset empties the heap and prepares it for ids in [0, capacity), growing
 // storage only when the capacity exceeds anything seen before. It costs
-// O(capacity) — the same as New — but allocates nothing once warm, which is
-// what lets a peeler run round after round without heap churn.
+// O(capacity) but allocates nothing once warm, which is what lets a peeler
+// run round after round without heap churn.
 func (h *Heap) Reset(capacity int) {
 	if cap(h.pos) < capacity {
 		h.pos = make([]int32, capacity)

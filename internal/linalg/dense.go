@@ -28,16 +28,6 @@ func (d *Dense) Set(r, c int, v float64) { d.data[c*d.RowsN+r] = v }
 // Col returns column c as a shared slice.
 func (d *Dense) Col(c int) []float64 { return d.data[c*d.RowsN : (c+1)*d.RowsN] }
 
-// CopyColsTo returns a new Dense holding the first k columns.
-func (d *Dense) CopyColsTo(k int) *Dense {
-	if k > d.ColsN {
-		k = d.ColsN
-	}
-	out := NewDense(d.RowsN, k)
-	copy(out.data, d.data[:d.RowsN*k])
-	return out
-}
-
 // Dot returns xᵀy.
 func Dot(x, y []float64) float64 {
 	s := 0.0

@@ -372,14 +372,6 @@ func TestDenseHelpers(t *testing.T) {
 	if d.At(1, 2) != 5 {
 		t.Error("Set/At")
 	}
-	k := d.CopyColsTo(2)
-	if k.ColsN != 2 || k.RowsN != 2 {
-		t.Error("CopyColsTo dims")
-	}
-	k2 := d.CopyColsTo(99)
-	if k2.ColsN != 3 {
-		t.Error("CopyColsTo clamp")
-	}
 	x := []float64{3, 4}
 	if Norm2(x) != 5 {
 		t.Error("Norm2")

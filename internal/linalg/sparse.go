@@ -97,16 +97,6 @@ func (m *Sparse) Cols() int { return m.cols }
 // NNZ returns the number of stored nonzeros.
 func (m *Sparse) NNZ() int { return len(m.vals) }
 
-// At returns the (r, c) element; O(row length).
-func (m *Sparse) At(r, c int) float64 {
-	for p := m.rowOff[r]; p < m.rowOff[r+1]; p++ {
-		if int(m.colIdx[p]) == c {
-			return m.vals[p]
-		}
-	}
-	return 0
-}
-
 // MulVec computes dst = A·x. dst must have length Rows, x length Cols.
 func (m *Sparse) MulVec(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {

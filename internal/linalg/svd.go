@@ -18,8 +18,8 @@ type SVDResult struct {
 // B·Bᵀ where B = Qᵀ·A.
 //
 // iters is the number of power iterations q (2-4 suffices for the sharply
-// decaying spectra of fraud graphs; 0 means 3). The decomposition is
-// deterministic for a fixed seed. k is clamped to min(rows, cols).
+// decaying spectra of fraud graphs). The decomposition is deterministic for
+// a fixed seed. k is clamped to min(rows, cols).
 func TruncatedSVD(a *Sparse, k, iters int, seed int64) SVDResult {
 	rows, cols := a.Rows(), a.Cols()
 	if k > rows {
@@ -30,9 +30,6 @@ func TruncatedSVD(a *Sparse, k, iters int, seed int64) SVDResult {
 	}
 	if k <= 0 || a.NNZ() == 0 {
 		return SVDResult{U: NewDense(rows, maxInt(k, 0)), S: make([]float64, maxInt(k, 0)), V: NewDense(cols, maxInt(k, 0))}
-	}
-	if iters <= 0 {
-		iters = 3
 	}
 	// Oversample for accuracy of the leading k triplets.
 	p := k + minInt(10, k)

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ func benchGraph(edges int) *bipartite.Graph {
 func BenchmarkWALAppend(b *testing.B) {
 	const batch = 256
 	edges := edgesN(0, batch)
-	w, _, _, err := openWAL(b.TempDir(), defaultSegmentBytes, false, b.Logf, nil)
+	w, _, _, err := openWAL(b.TempDir(), defaultSegmentBytes, false, b.Logf)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func BenchmarkWALAppend(b *testing.B) {
 func BenchmarkWALAppendFsync(b *testing.B) {
 	const batch = 256
 	edges := edgesN(0, batch)
-	w, _, _, err := openWAL(b.TempDir(), defaultSegmentBytes, true, b.Logf, nil)
+	w, _, _, err := openWAL(b.TempDir(), defaultSegmentBytes, true, b.Logf)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,4 +145,18 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sync flushes the active segment to disk regardless of policy.
+func (w *wal) sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("persist: WAL fsync: %w", err)
+	}
+	w.fsyncs++
+	return nil
 }

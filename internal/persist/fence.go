@@ -80,14 +80,8 @@ func decodeFence(data []byte) (fenceState, error) {
 }
 
 // writeFenceFile durably publishes fs under dir (tmp → fsync → rename →
-// dir fsync). inject, when non-nil, is consulted at "fence.write" before any
-// byte lands — the promote crash-point drills hang off it.
-func writeFenceFile(dir string, fs fenceState, inject func(string) error) error {
-	if inject != nil {
-		if err := inject("fence.write"); err != nil {
-			return fmt.Errorf("persist: fence write: %w", err)
-		}
-	}
+// dir fsync).
+func writeFenceFile(dir string, fs fenceState) error {
 	path := filepath.Join(dir, fenceFileName)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

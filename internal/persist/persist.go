@@ -101,12 +101,6 @@ type Options struct {
 	// Logf receives recovery warnings and snapshot progress lines
 	// (nil → log.Printf).
 	Logf func(format string, args ...any)
-	// Inject, when non-nil, is consulted at named fault-injection points
-	// ("wal.write", "wal.fsync", "snap.write", "fence.write") before the
-	// real operation; a non-nil return is treated as that operation having
-	// failed. Drill tests wire internal/faultinject here; production leaves
-	// it nil.
-	Inject func(point string) error
 }
 
 const (

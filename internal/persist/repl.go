@@ -55,16 +55,6 @@ type Record struct {
 	Edges   []bipartite.Edge
 }
 
-// EncodeRecordFrame frames r in the v2 WAL format (length + CRC32C +
-// payload), the exact byte layout TailSince responses concatenate.
-func EncodeRecordFrame(r Record) []byte {
-	var buf []byte
-	b := encodeRecord(&buf, walRecord{kind: r.Kind, version: r.Version, edges: r.Edges, mark: r.Mark, epoch: r.Epoch})
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
 // DecodeRecordFrame parses one v2-framed record from the head of data,
 // returning it with its framed size. ok is false for a truncated, checksum
 // -failing, or malformed frame.

@@ -379,8 +379,8 @@ func TestAppendRecordExplicitVersions(t *testing.T) {
 }
 
 // TestHasStateAndEncodeDecodeFrame covers the small helpers: HasState flips
-// only on real bytes, and EncodeRecordFrame round-trips through
-// DecodeRecordFrame.
+// only on real bytes, and a frame in the layout TailSince concatenates
+// round-trips through DecodeRecordFrame.
 func TestHasStateAndEncodeDecodeFrame(t *testing.T) {
 	dir := t.TempDir()
 	if HasState(dir) {
@@ -404,7 +404,8 @@ func TestHasStateAndEncodeDecodeFrame(t *testing.T) {
 
 	in := Record{Version: 12, Kind: RecordTombstone, Mark: stream.WindowMark{Version: 4, Wall: 99},
 		Edges: []bipartite.Edge{{U: 8, V: 9}}}
-	frame := EncodeRecordFrame(in)
+	var buf []byte
+	frame := encodeRecord(&buf, walRecord{kind: in.Kind, version: in.Version, edges: in.Edges, mark: in.Mark})
 	out, n, ok := DecodeRecordFrame(frame)
 	if !ok || n != len(frame) {
 		t.Fatalf("round-trip failed: ok=%v n=%d len=%d", ok, n, len(frame))

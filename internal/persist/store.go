@@ -107,7 +107,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "snap"), 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating data dir: %w", err)
 	}
-	w, records, torn, err := openWAL(filepath.Join(dir, "wal"), opts.segmentBytes(), opts.Fsync == FsyncAlways, logf, opts.Inject)
+	w, records, torn, err := openWAL(filepath.Join(dir, "wal"), opts.segmentBytes(), opts.Fsync == FsyncAlways, logf)
 	if err != nil {
 		return nil, err
 	}
@@ -460,12 +460,6 @@ func (s *Store) Snapshot() error {
 		return nil
 	}
 	start := time.Now()
-	if s.opts.Inject != nil {
-		if err := s.opts.Inject("snap.write"); err != nil {
-			s.snapErrs.Add(1)
-			return fmt.Errorf("persist: writing snapshot: %w", err)
-		}
-	}
 	hdr := SnapshotHeader{Version: version, Mark: mark, WrittenAt: time.Now().UnixNano(), Epoch: s.epoch.Load()}
 	if _, err := writeSnapshotFile(filepath.Join(s.dir, "snap"), g, hdr); err != nil {
 		s.snapErrs.Add(1)
@@ -496,10 +490,6 @@ func (s *Store) Snapshot() error {
 	return nil
 }
 
-// Sync flushes the WAL to disk regardless of the fsync policy — the
-// FsyncNever escape hatch for checkpoints.
-func (s *Store) Sync() error { return s.wal.sync() }
-
 // Epoch returns the failover term this store has observed, the first graph
 // version of that term (0 when unknown), and whether local ingest owns it.
 func (s *Store) Epoch() (epoch, start uint64, owned bool) {
@@ -522,7 +512,7 @@ func (s *Store) AdoptEpoch(epoch, start uint64) error {
 	if epoch == cur && !s.owned.Load() && (start == 0 || s.epochStart.Load() == start) {
 		return nil
 	}
-	if err := writeFenceFile(s.dir, fenceState{epoch: epoch, start: start, owned: false}, s.opts.Inject); err != nil {
+	if err := writeFenceFile(s.dir, fenceState{epoch: epoch, start: start, owned: false}); err != nil {
 		return err
 	}
 	s.epoch.Store(epoch)
@@ -547,7 +537,7 @@ func (s *Store) PromoteEpoch(epoch, startVersion uint64) error {
 	if startVersion == 0 {
 		return errors.New("persist: promote start version must be non-zero")
 	}
-	if err := writeFenceFile(s.dir, fenceState{epoch: epoch, start: startVersion, owned: true}, s.opts.Inject); err != nil {
+	if err := writeFenceFile(s.dir, fenceState{epoch: epoch, start: startVersion, owned: true}); err != nil {
 		return err
 	}
 	s.epoch.Store(epoch)

@@ -473,7 +473,7 @@ func TestConcurrentDurableIngest(t *testing.T) {
 func TestReplayPreservesVersionsAcrossHole(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	w, _, _, err := openWAL(walDir, 1<<20, true, testLogf(t), nil)
+	w, _, _, err := openWAL(walDir, 1<<20, true, testLogf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestReplayPreservesVersionsAcrossHole(t *testing.T) {
 // disk (before the covering snapshot deletes it) still boots.
 func TestTaintedSegmentSealsClean(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+	w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestTaintedSegmentSealsClean(t *testing.T) {
 
 	// Both segments are on disk (nothing deleted at watermark 0); the boot
 	// scan must find two clean segments, not refuse over sealed garbage.
-	_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+	_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t))
 	if err != nil {
 		t.Fatalf("boot after tainted seal refused: %v", err)
 	}

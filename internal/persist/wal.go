@@ -108,7 +108,6 @@ type wal struct {
 	segBytes int64
 	fsync    bool
 	logf     func(string, ...any)
-	inject   func(string) error // fault-injection hook; nil in production
 
 	mu     sync.Mutex
 	sealed []segMeta
@@ -149,7 +148,7 @@ func segPath(dir string, index uint64) string {
 // returns the writer positioned to append plus every surviving record (the
 // store replays the ones past the snapshot watermark). torn reports whether
 // a tail truncation happened. Leftover compaction temporaries are removed.
-func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any), inject func(string) error) (w *wal, records []walRecord, torn bool, err error) {
+func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any)) (w *wal, records []walRecord, torn bool, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, false, fmt.Errorf("persist: creating WAL dir: %w", err)
 	}
@@ -165,7 +164,7 @@ func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any), 
 	}
 	sort.Strings(names) // fixed-width hex index → lexicographic = numeric
 
-	w = &wal{dir: dir, segBytes: segBytes, fsync: fsync, logf: logf, inject: inject}
+	w = &wal{dir: dir, segBytes: segBytes, fsync: fsync, logf: logf}
 	for i, name := range names {
 		last := i == len(names)-1
 		recs, meta, tornHere, err := scanSegment(name, last, logf)
@@ -382,23 +381,11 @@ func (w *wal) append(rec walRecord) (int64, error) {
 		w.active.bytes = int64(len(walMagic))
 	}
 
-	if w.inject != nil {
-		if err := w.inject("wal.write"); err != nil {
-			w.tainted = true // simulate a partial frame on disk
-			return 0, fmt.Errorf("persist: WAL write: %w", err)
-		}
-	}
 	if _, err := w.f.Write(buf); err != nil {
 		w.tainted = true // a partial frame may be on disk
 		return 0, fmt.Errorf("persist: WAL write: %w", err)
 	}
 	if w.fsync {
-		if w.inject != nil {
-			if err := w.inject("wal.fsync"); err != nil {
-				w.tainted = true
-				return 0, fmt.Errorf("persist: WAL fsync: %w", err)
-			}
-		}
 		if err := w.f.Sync(); err != nil {
 			w.tainted = true // the kernel may have dropped the dirty pages
 			return 0, fmt.Errorf("persist: WAL fsync: %w", err)
@@ -615,20 +602,6 @@ func (w *wal) setFloor(v uint64) {
 		w.floor = v
 	}
 	w.mu.Unlock()
-}
-
-// sync flushes the active segment to disk regardless of policy.
-func (w *wal) sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("persist: WAL fsync: %w", err)
-	}
-	w.fsyncs++
-	return nil
 }
 
 func (w *wal) close() error {

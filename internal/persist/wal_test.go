@@ -24,7 +24,7 @@ func edgesN(start, n int) []bipartite.Edge {
 
 func TestWALAppendScanRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+	w, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t))
 	if err != nil || len(recs) != 0 || torn {
 		t.Fatalf("fresh openWAL: recs=%d torn=%v err=%v", len(recs), torn, err)
 	}
@@ -38,7 +38,7 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs, torn, err = openWAL(dir, 1<<20, true, testLogf(t), nil)
+	_, recs, torn, err = openWAL(dir, 1<<20, true, testLogf(t))
 	if err != nil || torn {
 		t.Fatalf("reopen: torn=%v err=%v", torn, err)
 	}
@@ -55,7 +55,7 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 func TestWALSegmentRotationAndTruncation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every batch after the first rotates.
-	w, _, _, err := openWAL(dir, 48, true, testLogf(t), nil)
+	w, _, _, err := openWAL(dir, 48, true, testLogf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestWALSegmentRotationAndTruncation(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, torn, err := openWAL(dir, 48, true, testLogf(t), nil)
+	_, recs, torn, err := openWAL(dir, 48, true, testLogf(t))
 	if err != nil || torn {
 		t.Fatalf("reopen after truncate: torn=%v err=%v", torn, err)
 	}
@@ -110,7 +110,7 @@ func lastRecordRange(t *testing.T, data []byte) (start, end int) {
 // segment to it, and stay appendable — never refuse to start.
 func TestWALTornTailByteByByte(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+	w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWALTornTailByteByByte(t *testing.T) {
 			}
 			final, wantSize = next, 0
 		}
-		w, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+		w, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t))
 		if err != nil {
 			t.Fatalf("%s: recovery refused to start: %v", name, err)
 		}
@@ -195,7 +195,7 @@ func TestWALTornTailByteByByte(t *testing.T) {
 	if err := os.WriteFile(seg, pristine[:start], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+	_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t))
 	if err != nil || torn || len(recs) != full-1 {
 		t.Fatalf("boundary cut: recs=%d torn=%v err=%v", len(recs), torn, err)
 	}
@@ -220,7 +220,7 @@ func TestWALRefusesSealedCorruption(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, _, _, err := openWAL(dir, 40, true, testLogf(t), nil)
+			w, _, _, err := openWAL(dir, 40, true, testLogf(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func TestWALRefusesSealedCorruption(t *testing.T) {
 			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, _, err = openWAL(dir, 40, true, testLogf(t), nil)
+			_, _, _, err = openWAL(dir, 40, true, testLogf(t))
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), filepath.Base(path)) {
 				t.Fatalf("err = %v, want a refusal naming %s: %q", err, filepath.Base(path), tc.want)
 			}
@@ -256,7 +256,7 @@ func TestWALRejectsMalformedSegmentName(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-zz.wal"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openWAL(dir, 1<<20, true, testLogf(t), nil); err == nil {
+	if _, _, _, err := openWAL(dir, 1<<20, true, testLogf(t)); err == nil {
 		t.Fatal("malformed segment name must error, not be silently skipped")
 	}
 }
@@ -265,7 +265,7 @@ func TestWALRejectsMalformedSegmentName(t *testing.T) {
 // disk counts as removed; the survivor metadata must stay consistent.
 func TestTruncateToleratesMissingSegment(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _, err := openWAL(dir, 40, true, testLogf(t), nil)
+	w, _, _, err := openWAL(dir, 40, true, testLogf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTruncateToleratesMissingSegment(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, torn, err := openWAL(dir, 40, true, testLogf(t), nil)
+	_, recs, torn, err := openWAL(dir, 40, true, testLogf(t))
 	if err != nil || torn {
 		t.Fatalf("reopen: torn=%v err=%v", torn, err)
 	}

@@ -218,7 +218,7 @@ func TestSnapshotPersistsWindowMark(t *testing.T) {
 func TestWALCompactionDropsCoveredRecords(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
 		dir := t.TempDir()
-		w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+		w, _, _, err := openWAL(dir, 1<<20, true, testLogf(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestWALCompactionDropsCoveredRecords(t *testing.T) {
 		if err := w.close(); err != nil {
 			t.Fatal(err)
 		}
-		_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t), nil)
+		_, recs, torn, err := openWAL(dir, 1<<20, true, testLogf(t))
 		if err != nil || torn {
 			t.Fatalf("reopen after compaction: torn=%v err=%v", torn, err)
 		}

@@ -28,11 +28,6 @@ type NodeConfig struct {
 	WaitMS   int
 	RetryMin time.Duration
 	RetryMax time.Duration
-	// MaxChunkBytes, MaxWait, Poll configure the serving half after a
-	// promotion (see PrimaryConfig).
-	MaxChunkBytes int64
-	MaxWait       time.Duration
-	Poll          time.Duration
 	// MaxLag is the readiness lag bound while following (see Follower.Ready).
 	MaxLag uint64
 	// FlushCache runs after any state change that can move the graph version
@@ -212,12 +207,9 @@ func (n *Node) finishPromotionLocked(epoch uint64) {
 	// while following (records were re-journaled by the apply path).
 	n.cfg.Graph.SetJournal(n.cfg.Store)
 	p := NewPrimary(PrimaryConfig{
-		Store:         n.cfg.Store,
-		Version:       n.cfg.Graph.Version,
-		MaxChunkBytes: n.cfg.MaxChunkBytes,
-		MaxWait:       n.cfg.MaxWait,
-		Poll:          n.cfg.Poll,
-		Logf:          n.cfg.Logf,
+		Store:   n.cfg.Store,
+		Version: n.cfg.Graph.Version,
+		Logf:    n.cfg.Logf,
 	})
 	n.serving.Store(&servingHalf{p: p, h: p.Handler()})
 	n.isPrimary.Store(true)

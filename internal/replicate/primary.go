@@ -62,42 +62,18 @@ type PrimaryConfig struct {
 	// Version reports the primary's current graph version (stamped on tail
 	// responses so followers can measure lag).
 	Version func() uint64
-	// MaxChunkBytes caps one tail response (0 → 4MB). Followers loop.
-	MaxChunkBytes int64
-	// MaxWait caps a tail long-poll (0 → 25s); Poll is the idle re-check
-	// period while waiting (0 → 25ms).
-	MaxWait time.Duration
-	Poll    time.Duration
-	// OnHigherEpoch, when non-nil, runs after the built-in self-fence when a
-	// follower request advertises an epoch above this primary's — the moment
-	// a deposed primary learns a follower was promoted. The store has
-	// already adopted the higher epoch (dropping write ownership) before the
-	// callback fires.
-	OnHigherEpoch func(epoch uint64)
 	// Logf receives shipping warnings (nil → log.Printf).
 	Logf func(string, ...any)
 }
 
-func (c PrimaryConfig) maxChunkBytes() int64 {
-	if c.MaxChunkBytes <= 0 {
-		return 4 << 20
-	}
-	return c.MaxChunkBytes
-}
-
-func (c PrimaryConfig) maxWait() time.Duration {
-	if c.MaxWait <= 0 {
-		return 25 * time.Second
-	}
-	return c.MaxWait
-}
-
-func (c PrimaryConfig) poll() time.Duration {
-	if c.Poll <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.Poll
-}
+const (
+	// maxChunkBytes caps one tail response. Followers loop.
+	maxChunkBytes = 4 << 20
+	// maxWait caps a tail long-poll; pollEvery is the idle re-check period
+	// while waiting.
+	maxWait   = 25 * time.Second
+	pollEvery = 25 * time.Millisecond
+)
 
 func (c PrimaryConfig) logf() func(string, ...any) {
 	if c.Logf == nil {
@@ -130,7 +106,7 @@ func (p *Primary) epoch() uint64 {
 // replication request. A higher term is proof positive that a promotion
 // happened elsewhere: this primary immediately and durably adopts the term
 // (losing write ownership — the fail-stop half of fencing), so it can never
-// again acknowledge local ingest, then notifies OnHigherEpoch. Serving
+// again acknowledge local ingest. Serving
 // replication reads continues: the shipped history below the fork is still
 // valid, and a lagging follower may need it.
 func (p *Primary) observeEpoch(r *http.Request) {
@@ -148,9 +124,6 @@ func (p *Primary) observeEpoch(r *http.Request) {
 		return
 	}
 	p.logf("replicate: fenced — follower %s advertises epoch %d; local writes now rejected", r.RemoteAddr, remote)
-	if p.cfg.OnHigherEpoch != nil {
-		p.cfg.OnHigherEpoch(remote)
-	}
 }
 
 // NewPrimary returns the serving half over cfg.Store; it panics on a nil
@@ -224,8 +197,8 @@ func (p *Primary) handleFile(w http.ResponseWriter, r *http.Request, open func(s
 }
 
 // handleTail long-polls for records past ?from=V: it answers immediately
-// when the log already holds newer records, otherwise re-checks every Poll
-// until ?wait= (capped at MaxWait) elapses, then returns 204 with the
+// when the log already holds newer records, otherwise re-checks every
+// pollEvery until ?wait= (capped at maxWait) elapses, then returns 204 with the
 // primary's version header so an idle follower still refreshes its lag
 // reference. A from below the truncation floor is 410 Gone: the follower
 // must resync from a snapshot.
@@ -238,7 +211,7 @@ func (p *Primary) handleTail(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
 		return
 	}
-	wait := p.cfg.maxWait()
+	wait := maxWait
 	if s := r.URL.Query().Get("wait"); s != "" {
 		ms, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || ms < 0 {
@@ -252,7 +225,7 @@ func (p *Primary) handleTail(w http.ResponseWriter, r *http.Request) {
 
 	deadline := time.Now().Add(wait)
 	for {
-		payload, last, n, err := p.cfg.Store.TailSince(from, p.cfg.maxChunkBytes())
+		payload, last, n, err := p.cfg.Store.TailSince(from, maxChunkBytes)
 		switch {
 		case errors.Is(err, persist.ErrTailGone):
 			w.Header().Set(hdrPrimaryVersion, strconv.FormatUint(p.cfg.Version(), 10))
@@ -280,10 +253,7 @@ func (p *Primary) handleTail(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		poll := p.cfg.poll()
-		if poll > remaining {
-			poll = remaining
-		}
+		poll := min(pollEvery, remaining)
 		select {
 		case <-r.Context().Done():
 			return

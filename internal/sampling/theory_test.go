@@ -6,6 +6,62 @@ import (
 	"testing/quick"
 )
 
+// This file implements the sampling-theory quantities of paper §IV-A1:
+// the expected per-degree node counts under node sampling (NS) and edge
+// sampling (ES) of Eq. 3, the Lemma 1 crossover degree, and the Theorem 1
+// edge-sampling probability that yields an ε-approximation of the density
+// metric.
+
+// ExpectedNSByDegree returns E_NS[d_q] = fD(q) · p_v for every degree q,
+// where hist[q] = fD(q) is the number of nodes of degree q in the original
+// graph and pv is the node-sampling probability.
+func ExpectedNSByDegree(hist []int, pv float64) []float64 {
+	out := make([]float64, len(hist))
+	for q, f := range hist {
+		out[q] = float64(f) * pv
+	}
+	return out
+}
+
+// ExpectedESByDegree returns E_ES[d_q] = fD(q) · (1 − (1−p_e)^q) for every
+// degree q: under edge sampling a node survives iff at least one of its q
+// edges is drawn.
+func ExpectedESByDegree(hist []int, pe float64) []float64 {
+	out := make([]float64, len(hist))
+	for q, f := range hist {
+		out[q] = float64(f) * (1 - math.Pow(1-pe, float64(q)))
+	}
+	return out
+}
+
+// CrossoverDegree returns the Lemma 1 threshold log(1−pv)/log(1−pe): for
+// degrees strictly above it, edge sampling includes nodes at a higher rate
+// than node sampling. Both probabilities must lie in (0, 1).
+func CrossoverDegree(pv, pe float64) float64 {
+	return math.Log(1-pv) / math.Log(1-pe)
+}
+
+// ApproximationEdgeProbability returns the Theorem 1 edge-sampling
+// probability p = 3(d+2)·ln(n) / (ε²·c), clamped to (0, 1], under which the
+// sampled subgraph's density score is an ε-approximation of the original's
+// when the minimum degree is c = Ω(ln n). (The paper's rendering of the
+// formula drops the ε² factor typographically; the cited source, Gao et al.
+// ICC'16, carries it.) d is the approximation-order parameter of the cited
+// theorem, n the number of vertices.
+func ApproximationEdgeProbability(n int, d, eps, c float64) float64 {
+	if n < 2 || eps <= 0 || c <= 0 {
+		return 1
+	}
+	p := 3 * (d + 2) * math.Log(float64(n)) / (eps * eps * c)
+	if p > 1 {
+		return 1
+	}
+	if p <= 0 {
+		return 1
+	}
+	return p
+}
+
 func TestExpectedNSByDegree(t *testing.T) {
 	hist := []int{0, 10, 5, 2}
 	got := ExpectedNSByDegree(hist, 0.3)

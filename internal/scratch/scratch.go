@@ -67,6 +67,3 @@ func (s *Stamps) TryAdd(i int) bool {
 	s.mark[i] = s.cur
 	return true
 }
-
-// Len returns the tracked universe size (the n of the last Reset).
-func (s *Stamps) Len() int { return len(s.mark) }

@@ -16,7 +16,14 @@ func TestAdjacency(t *testing.T) {
 	if m.Rows() != g.NumUsers() || m.Cols() != g.NumMerchants() {
 		t.Fatalf("dims %dx%d, want %dx%d", m.Rows(), m.Cols(), g.NumUsers(), g.NumMerchants())
 	}
-	if m.At(0, 1) != 1 || m.At(2, 0) != 1 || m.At(0, 0) != 0 {
+	// at reads entry (r, c) as row r of the product with unit vector c.
+	at := func(r, c int) float64 {
+		x, y := make([]float64, m.Cols()), make([]float64, m.Rows())
+		x[c] = 1
+		m.MulVec(y, x)
+		return y[r]
+	}
+	if at(0, 1) != 1 || at(2, 0) != 1 || at(0, 0) != 0 {
 		t.Error("adjacency entries wrong")
 	}
 	if m.NNZ() != g.NumEdges() {
@@ -33,7 +40,7 @@ func TestDecomposeFullBlock(t *testing.T) {
 			b.AddEdge(uint32(u), uint32(v))
 		}
 	}
-	svd := Decompose(b.Build(), 2, 3, 1)
+	svd := Decompose(b.Build(), 2, 1)
 	want := math.Sqrt(24)
 	if math.Abs(svd.S[0]-want) > 1e-8 {
 		t.Errorf("σ1 = %g, want %g", svd.S[0], want)

@@ -11,7 +11,6 @@ package spoken
 
 import (
 	"math"
-	"sort"
 
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/spectral"
@@ -25,8 +24,6 @@ type Config struct {
 	// Components is the number of leading singular vector pairs inspected;
 	// 0 means DefaultComponents.
 	Components int
-	// PowerIters tunes the underlying randomized SVD; 0 means its default.
-	PowerIters int
 	// Seed makes the decomposition deterministic.
 	Seed int64
 }
@@ -57,7 +54,7 @@ func Score(g *bipartite.Graph, cfg Config) Result {
 	if g.NumEdges() == 0 {
 		return res
 	}
-	svd := spectral.Decompose(g, cfg.components(), cfg.PowerIters, cfg.Seed)
+	svd := spectral.Decompose(g, cfg.components(), cfg.Seed)
 	for c := 0; c < svd.Rank(); c++ {
 		if svd.S[c] <= 0 {
 			continue
@@ -76,34 +73,4 @@ func Score(g *bipartite.Graph, cfg Config) Result {
 		}
 	}
 	return res
-}
-
-// TopUsers returns the n highest-scoring users, most suspicious first.
-func (r Result) TopUsers(n int) []uint32 {
-	return topIDs(r.UserScores, n)
-}
-
-func topIDs(scores []float64, n int) []uint32 {
-	type su struct {
-		id uint32
-		s  float64
-	}
-	order := make([]su, len(scores))
-	for i, s := range scores {
-		order[i] = su{uint32(i), s}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].s != order[j].s {
-			return order[i].s > order[j].s
-		}
-		return order[i].id < order[j].id // deterministic ties
-	})
-	if n > len(order) {
-		n = len(order)
-	}
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		out[i] = order[i].id
-	}
-	return out
 }

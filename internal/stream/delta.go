@@ -32,13 +32,12 @@ type deltaRec struct {
 }
 
 // Delta is the churn between two snapshot versions: every user and merchant
-// whose adjacency changed in (FromVersion, ToVersion], with insert/delete
-// edge counts for sizing the reuse-vs-rebuild decision. The node lists are a
-// conservative superset (duplicates allowed, endpoints of deduplicated edges
-// allowed) — sound for dirtiness classification, which only over-invalidates.
+// whose adjacency changed after the older one, up to and including the
+// newer, with insert/delete edge counts for sizing the reuse-vs-rebuild
+// decision. The node lists are a conservative superset (duplicates allowed,
+// endpoints of deduplicated edges allowed) — sound for dirtiness
+// classification, which only over-invalidates.
 type Delta struct {
-	FromVersion uint64
-	ToVersion   uint64
 	// Users and Merchants are the touched parent node ids. Order is
 	// unspecified and ids may repeat across (or within) records.
 	Users     []uint32
@@ -69,7 +68,7 @@ func (g *Graph) Delta(from, to uint64) (Delta, bool) {
 	if g.histLimit <= 0 || from < g.histFloor {
 		return Delta{}, false
 	}
-	d := Delta{FromVersion: from, ToVersion: to}
+	var d Delta
 	for i := g.histHead; i < len(g.hist); i++ {
 		r := &g.hist[i]
 		if r.ver <= from || r.ver > to {

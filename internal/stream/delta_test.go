@@ -257,7 +257,7 @@ func TestDeltaMatchesNaiveModelAcrossEvictions(t *testing.T) {
 				if from > to || from < floor {
 					return Delta{}, false
 				}
-				d := Delta{FromVersion: from, ToVersion: to}
+				var d Delta
 				for _, r := range all[keep:] {
 					if r.ver > from && r.ver <= to {
 						d.Users = append(d.Users, r.users...)

@@ -292,7 +292,7 @@ func (g *Graph) SetJournal(j Journal) {
 
 // Restore seeds an empty dynamic graph from a recovered snapshot, adopting
 // its version; RestoreAt is the variant recovery uses to also adopt the
-// window watermark and ingest-time stamp recorded in a v2 snapshot file.
+// window watermark and ingest-time stamp a snapshot file records.
 func (g *Graph) Restore(snap *bipartite.Graph, version uint64) error {
 	return g.RestoreAt(snap, version, WindowMark{}, 0)
 }

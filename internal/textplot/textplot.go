@@ -22,24 +22,15 @@ type Series struct {
 type Plot struct {
 	title          string
 	xLabel, yLabel string
-	width, height  int
 	series         []Series
 }
 
-// New returns an empty plot with the default 72x20 character canvas.
-func New(title, xLabel, yLabel string) *Plot {
-	return &Plot{title: title, xLabel: xLabel, yLabel: yLabel, width: 72, height: 20}
-}
+// The canvas size in characters.
+const width, height = 72, 20
 
-// SetSize overrides the canvas size in characters (minimums 16x6 enforced).
-func (p *Plot) SetSize(width, height int) {
-	if width < 16 {
-		width = 16
-	}
-	if height < 6 {
-		height = 6
-	}
-	p.width, p.height = width, height
+// New returns an empty plot.
+func New(title, xLabel, yLabel string) *Plot {
+	return &Plot{title: title, xLabel: xLabel, yLabel: yLabel}
 }
 
 // Add appends a series. Markers default to a per-series letter when 0.
@@ -82,9 +73,9 @@ func (p *Plot) Render() string {
 		maxY = minY + 1
 	}
 
-	grid := make([][]rune, p.height)
+	grid := make([][]rune, height)
 	for r := range grid {
-		grid[r] = make([]rune, p.width)
+		grid[r] = make([]rune, width)
 		for c := range grid[r] {
 			grid[r][c] = ' '
 		}
@@ -94,8 +85,8 @@ func (p *Plot) Render() string {
 			if i >= len(s.Y) || !finite(s.X[i]) || !finite(s.Y[i]) {
 				continue
 			}
-			c := int(math.Round((s.X[i] - minX) / (maxX - minX) * float64(p.width-1)))
-			r := p.height - 1 - int(math.Round((s.Y[i]-minY)/(maxY-minY)*float64(p.height-1)))
+			c := int(math.Round((s.X[i] - minX) / (maxX - minX) * float64(width-1)))
+			r := height - 1 - int(math.Round((s.Y[i]-minY)/(maxY-minY)*float64(height-1)))
 			grid[r][c] = s.Marker
 		}
 	}
@@ -105,18 +96,18 @@ func (p *Plot) Render() string {
 	if len(yHi) > margin {
 		margin = len(yHi)
 	}
-	for r := 0; r < p.height; r++ {
+	for r := 0; r < height; r++ {
 		label := strings.Repeat(" ", margin)
 		switch r {
 		case 0:
 			label = fmt.Sprintf("%*s", margin, yHi)
-		case p.height - 1:
+		case height - 1:
 			label = fmt.Sprintf("%*s", margin, yLo)
 		}
 		fmt.Fprintf(&sb, "%s |%s\n", label, strings.TrimRight(string(grid[r]), " "))
 	}
-	fmt.Fprintf(&sb, "%s +%s\n", strings.Repeat(" ", margin), strings.Repeat("-", p.width))
-	fmt.Fprintf(&sb, "%s  %-*s%s\n", strings.Repeat(" ", margin), p.width-len(fmt.Sprintf("%.3g", maxX)), fmt.Sprintf("%.3g", minX), fmt.Sprintf("%.3g", maxX))
+	fmt.Fprintf(&sb, "%s +%s\n", strings.Repeat(" ", margin), strings.Repeat("-", width))
+	fmt.Fprintf(&sb, "%s  %-*s%s\n", strings.Repeat(" ", margin), width-len(fmt.Sprintf("%.3g", maxX)), fmt.Sprintf("%.3g", minX), fmt.Sprintf("%.3g", maxX))
 	if p.xLabel != "" || p.yLabel != "" {
 		fmt.Fprintf(&sb, "%s  x: %s, y: %s\n", strings.Repeat(" ", margin), p.xLabel, p.yLabel)
 	}

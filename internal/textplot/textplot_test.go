@@ -48,17 +48,6 @@ func TestDefaultMarkers(t *testing.T) {
 	}
 }
 
-func TestSetSizeClamps(t *testing.T) {
-	p := New("s", "x", "y")
-	p.SetSize(1, 1)
-	p.Add(Series{Name: "s", X: []float64{0, 1}, Y: []float64{0, 1}})
-	out := p.Render()
-	lines := strings.Split(out, "\n")
-	if len(lines) < 6 {
-		t.Errorf("clamped canvas too small:\n%s", out)
-	}
-}
-
 func TestMismatchedXYLengths(t *testing.T) {
 	p := New("mm", "x", "y")
 	p.Add(Series{Name: "s", X: []float64{0, 1, 2}, Y: []float64{5}})

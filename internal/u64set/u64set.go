@@ -45,15 +45,6 @@ func hash(k uint64, mask uint64) uint64 {
 	return (h ^ h>>32) & mask
 }
 
-// New returns a set pre-sized to hold at least hint keys without resizing.
-func New(hint int) *Set {
-	s := &Set{}
-	if hint > 0 {
-		s.grow(tableFor(hint))
-	}
-	return s
-}
-
 // tableFor returns the power-of-two table size that keeps n keys under the
 // load limit.
 func tableFor(n int) int {
@@ -62,37 +53,6 @@ func tableFor(n int) int {
 		c <<= 1
 	}
 	return c
-}
-
-// Len returns the number of keys in the set.
-func (s *Set) Len() int {
-	if s.hasZero {
-		return s.n + 1
-	}
-	return s.n
-}
-
-// Bytes returns the resident size of the table backing array — the number
-// the dedup-memory benchmark compares against the map implementation.
-func (s *Set) Bytes() int { return 8 * cap(s.slots) }
-
-// Has reports whether k is in the set.
-func (s *Set) Has(k uint64) bool {
-	if k == emptySlot {
-		return s.hasZero
-	}
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := hash(k, mask); ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case k:
-			return true
-		case emptySlot:
-			return false
-		}
-	}
 }
 
 // Add inserts k, reporting whether it was newly added (false = already
@@ -186,11 +146,4 @@ func (s *Set) grow(newSize int) {
 		}
 		s.slots[i] = k
 	}
-}
-
-// Clear empties the set, keeping the table for reuse.
-func (s *Set) Clear() {
-	clear(s.slots)
-	s.n = 0
-	s.hasZero = false
 }
