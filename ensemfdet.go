@@ -308,8 +308,8 @@ func NewStreamGraphSharded(shards int) *StreamGraph { return stream.NewSharded(s
 // by wall-clock age, by version age, by live edge count, or any combination.
 // Install with StreamGraph.SetWindow; apply with StreamGraph.Retire (the
 // daemon runs a periodic retire ticker via -retire-every). Expired edges
-// leave the dedup set, so a re-observed purchase re-ingests with fresh
-// recency.
+// are no longer live to dedup, so a re-observed purchase re-ingests with
+// fresh recency.
 type WindowPolicy = stream.WindowPolicy
 
 // WindowMark is the expiry watermark: no live edge carries an ingest stamp

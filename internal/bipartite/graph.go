@@ -10,6 +10,7 @@ package bipartite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -69,11 +70,14 @@ func (g *Graph) MerchantNeighbors(v uint32) []uint32 {
 	return g.merchAdj[g.merchOff[v]:g.merchOff[v+1]]
 }
 
-// HasEdge reports whether the edge (u, v) is present. O(log degree(u)).
+// HasEdge reports whether the edge (u, v) is present; a user past
+// NumUsers has no edges. O(log degree(u)).
 func (g *Graph) HasEdge(u, v uint32) bool {
-	adj := g.UserNeighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	if int(u) >= g.NumUsers() {
+		return false
+	}
+	_, found := slices.BinarySearch(g.UserNeighbors(u), v)
+	return found
 }
 
 // Edges calls fn for every edge in user-major order. It stops early if fn

@@ -75,6 +75,7 @@ func TestHasEdge(t *testing.T) {
 		{0, 0, true}, {0, 1, true}, {0, 2, false},
 		{1, 1, true}, {1, 0, false},
 		{2, 2, true}, {2, 0, false},
+		{9, 0, false}, // past NumUsers
 	}
 	for _, c := range cases {
 		if got := g.HasEdge(c.u, c.v); got != c.want {

@@ -51,10 +51,6 @@ type Params struct {
 	SampleRatio float64
 	// Seed fixes the ensemble's randomness.
 	Seed int64
-	// Parallelism caps the per-run worker pool (0 → GOMAXPROCS). It is
-	// deliberately excluded from the cache fingerprint: results are
-	// deterministic in it.
-	Parallelism int
 }
 
 func (p Params) normalize() Params {
@@ -566,7 +562,6 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 		NumSamples:  n.NumSamples,
 		SampleRatio: n.SampleRatio,
 		Seed:        n.Seed,
-		Parallelism: p.Parallelism,
 		Arenas:      e.arenas,
 		Scratch:     rs,
 		// Record every run: the per-sample record is what the next version's

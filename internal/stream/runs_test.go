@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -210,15 +212,41 @@ var modelScripts = []struct {
 	{1, 160}, {2, 160}, {3, 160}, {4, 160}, {5, 160},
 }
 
+// sparseScript sizes a capture-sparse script: its step count, the largest
+// append, and the id grid its edges are drawn from.
+type sparseScript struct {
+	steps, maxBatch  int
+	users, merchants int
+}
+
+// sparseScripts are the seeds of the capture-sparse family: scripts that
+// capture only on explicit steps, so appends, removes, retires and re-adds
+// pile up between captures.
+var sparseScripts = []struct {
+	seed int64
+	sparseScript
+}{
+	{11, sparseScript{200, 100, 120, 90}},
+	{12, sparseScript{200, 100, 120, 90}},
+	{13, sparseScript{200, 100, 120, 90}},
+}
+
 // TestStreamMatchesModel runs seeded random scripts of Append, Remove,
 // Retire (under every window bound, the clock driven through g.now),
 // Snapshot and one mid-script RestoreAt into a fresh graph, and after every
 // step compares the stream's snapshot bytes, version and sizes with a full
-// rebuild of the model's live set.
+// rebuild of the model's live set. The capture-sparse family checks every
+// append's dedup counts against the model instead, and captures only now
+// and then.
 func TestStreamMatchesModel(t *testing.T) {
 	for _, sc := range modelScripts {
 		for _, shards := range []int{1, 2, 8} {
 			runModelScript(t, sc.seed, sc.steps, shards)
+		}
+	}
+	for _, sc := range sparseScripts {
+		for _, shards := range []int{1, 2, 8} {
+			runSparseScript(t, rand.New(rand.NewSource(sc.seed)), sc.sparseScript, shards)
 		}
 	}
 }
@@ -307,6 +335,189 @@ func runModelScript(t *testing.T, seed int64, steps, shards int) {
 	}
 }
 
+// choices is the source a capture-sparse script draws from: a seeded
+// *rand.Rand, or fuzzer bytes.
+type choices interface{ Intn(n int) int }
+
+// byteChoices draws from fuzzer bytes: one per draw below 256, two above;
+// an exhausted input reads as zeros.
+type byteChoices struct{ b []byte }
+
+func (c *byteChoices) Intn(n int) int {
+	w := 1
+	if n > 256 {
+		w = 2
+	}
+	if len(c.b) < w {
+		c.b = nil
+		return 0
+	}
+	v := int(c.b[0])
+	if w == 2 {
+		v = int(binary.LittleEndian.Uint16(c.b))
+	}
+	c.b = c.b[w:]
+	return v % n
+}
+
+// runSparseScript plays a capture-sparse script drawn from ch: appends of
+// random edges, re-adds of edges removed or retired earlier, removes,
+// retires, captures and restores. Every append's Added and Duplicates must
+// equal the model's counts, and every step's version and size must match;
+// snapshot bytes are compared only at the capture and restore steps and at
+// the end.
+func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
+	t.Helper()
+	users, merchants := sc.users, sc.merchants
+	clock := time.Unix(1_000_000, 0)
+	g := NewSharded(shards)
+	g.now = func() time.Time { return clock }
+	m := &stampModel{live: map[bipartite.Edge]modelStamp{}}
+	var lastBatch, gone, grid []bipartite.Edge
+	for u := 0; u < users; u++ {
+		for v := 0; v < merchants; v++ {
+			grid = append(grid, bipartite.Edge{U: uint32(u), V: uint32(v)})
+		}
+	}
+	randomEdge := func() bipartite.Edge {
+		return bipartite.Edge{U: uint32(ch.Intn(users)), V: uint32(ch.Intn(merchants))}
+	}
+	// pick draws n edges from es, repeats allowed.
+	pick := func(es []bipartite.Edge, n int) []bipartite.Edge {
+		var out []bipartite.Edge
+		for i := 0; i < n && len(es) > 0; i++ {
+			out = append(out, es[ch.Intn(len(es))])
+		}
+		return out
+	}
+	where := func(step int, op string) string {
+		return fmt.Sprintf("shards=%d step %d (%s)", shards, step, op)
+	}
+	appendChecked := func(step int, op string, batch []bipartite.Edge) {
+		added := 0
+		fresh := map[bipartite.Edge]bool{}
+		for _, e := range batch {
+			if _, live := m.live[e]; !live && !fresh[e] {
+				fresh[e] = true
+				added++
+			}
+		}
+		res := g.Append(batch)
+		m.append(batch, clock.UnixNano())
+		if res.Added != added || res.Duplicates != len(batch)-added {
+			t.Fatalf("%s: added %d, %d duplicates; model %d, %d",
+				where(step, op), res.Added, res.Duplicates, added, len(batch)-added)
+		}
+		lastBatch = batch
+	}
+	// removing applies a removal to the stream and the model and keeps what
+	// the model lost in gone, for later re-adds.
+	removing := func(apply func()) {
+		before := maps.Clone(m.live)
+		apply()
+		// Grid order, not map order: later draws over gone must replay.
+		for _, e := range grid {
+			_, was := before[e]
+			if _, live := m.live[e]; was && !live {
+				gone = append(gone, e)
+			}
+		}
+		if len(gone) > 400 {
+			gone = gone[len(gone)-400:]
+		}
+	}
+	capture := func(step int, op string) {
+		snap, v := g.Snapshot()
+		if v != m.ver || !bytes.Equal(csrBytes(t, snap), m.csr(t)) {
+			t.Fatalf("%s: snapshot at version %d diverges from the model at %d", where(step, op), v, m.ver)
+		}
+	}
+
+	for step := 0; step < sc.steps; step++ {
+		clock = clock.Add(time.Duration(ch.Intn(4000)) * time.Millisecond)
+		var op string
+		switch r := ch.Intn(20); {
+		case r < 9:
+			op = "append"
+			batch := make([]bipartite.Edge, 1+ch.Intn(sc.maxBatch))
+			for i := range batch {
+				batch[i] = randomEdge()
+			}
+			appendChecked(step, op, batch)
+		case r < 11:
+			op = "re-add"
+			batch := pick(gone, 1+ch.Intn(32))
+			batch = append(batch, pick(lastBatch, ch.Intn(8))...)
+			batch = append(batch, randomEdge())
+			appendChecked(step, op, batch)
+		case r < 13:
+			op = "remove"
+			dead := append(pick(lastBatch, 1+ch.Intn(16)), randomEdge())
+			removing(func() {
+				g.Remove(dead)
+				m.remove(dead)
+			})
+		case r < 16:
+			op = "retire"
+			var p WindowPolicy
+			for !p.Enabled() {
+				if ch.Intn(2) == 0 {
+					p.MaxVersions = uint64(1 + ch.Intn(25))
+				}
+				if ch.Intn(2) == 0 {
+					p.MaxEdges = 1 + ch.Intn(users*merchants/4)
+				}
+				if ch.Intn(2) == 0 {
+					p.MaxAge = time.Duration(5+ch.Intn(60)) * time.Second
+				}
+			}
+			removing(func() {
+				g.SetWindow(p)
+				g.Retire(clock)
+				m.retire(p, clock.UnixNano())
+			})
+		case r < 19:
+			op = "capture"
+			capture(step, op)
+		default:
+			op = "restore"
+			snap, v, mark := g.SnapshotWithMark()
+			g = NewSharded(shards)
+			g.now = func() time.Time { return clock }
+			if err := g.RestoreAt(snap, v, mark, clock.UnixNano()); err != nil {
+				t.Fatal(err)
+			}
+			m.restore(v, clock.UnixNano())
+			capture(step, op)
+		}
+		if v, n := g.Version(), g.Stats().NumEdges; v != m.ver || n != len(m.live) {
+			t.Fatalf("%s: version %d with %d edges, model %d with %d", where(step, op), v, n, m.ver, len(m.live))
+		}
+		if err := checkRuns(g); err != nil {
+			t.Fatalf("%s: %v", where(step, op), err)
+		}
+	}
+	capture(sc.steps, "final")
+}
+
+// FuzzStreamModel plays fuzzer bytes as a capture-sparse script at 1, 2 and
+// 8 shards: one step per 8 bytes up to 200, on a 24×16 id grid where
+// duplicates and re-adds are common. The seed corpus is the sparse family's
+// seeds, as 40 steps' worth of bytes each.
+func FuzzStreamModel(f *testing.F) {
+	for _, sc := range sparseScripts {
+		b := make([]byte, 8*40)
+		rand.New(rand.NewSource(sc.seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := sparseScript{steps: min(len(data)/8, 200), maxBatch: 16, users: 24, merchants: 16}
+		for _, shards := range []int{1, 2, 8} {
+			runSparseScript(t, &byteChoices{b: data}, sc, shards)
+		}
+	})
+}
+
 // heapInUse returns the live heap after a double GC.
 func heapInUse() uint64 {
 	runtime.GC()
@@ -317,32 +528,43 @@ func heapInUse() uint64 {
 }
 
 // BenchmarkStreamResidentBytes reports the graph's resident bytes per live
-// edge — dedup set, edge log and stamps — once 1<<20 fresh edges have gone
+// edge — dedup sets, edge log and stamps — once 1<<20 fresh edges have gone
 // in, by batch size and shard count. Batch 1 is the stamp table's worst
-// case, one row per edge. The touched-node history is switched off: it is
-// bounded by its node budget, not by the live edge count. Run with
-// -benchtime=1x; the numbers are memory metrics, not timings.
+// case, one row per edge. The captured cases snapshot at 3/4 of the edges
+// and then append the rest: the snapshot's CSR counts, and the shard dedup
+// sets hold only the last quarter. The touched-node history is switched
+// off: it is bounded by its node budget, not by the live edge count. Run
+// with -benchtime=1x; the numbers are memory metrics, not timings.
 func BenchmarkStreamResidentBytes(b *testing.B) {
 	const n = 1 << 20
 	edges := make([]bipartite.Edge, n)
 	for i := range edges {
 		edges[i] = bipartite.Edge{U: uint32(i >> 4), V: uint32(i&15) * 4099}
 	}
+	run := func(name string, batch, shards, captureAt int) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				base := heapInUse()
+				g := NewSharded(shards)
+				g.SetDeltaHistoryLimit(0)
+				for off := 0; off < n; off += batch {
+					if off == captureAt {
+						g.Snapshot()
+					}
+					g.Append(edges[off : off+batch])
+				}
+				bytes := float64(heapInUse() - base)
+				b.ReportMetric(bytes/n, "B/edge")
+				runtime.KeepAlive(g)
+			}
+		})
+	}
 	for _, batch := range []int{1, 128, 4096} {
 		for _, shards := range []int{1, 2} {
-			b.Run(fmt.Sprintf("batch=%d/shards=%d", batch, shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					base := heapInUse()
-					g := NewSharded(shards)
-					g.SetDeltaHistoryLimit(0)
-					for off := 0; off < n; off += batch {
-						g.Append(edges[off : off+batch])
-					}
-					bytes := float64(heapInUse() - base)
-					b.ReportMetric(bytes/n, "B/edge")
-					runtime.KeepAlive(g)
-				}
-			})
+			run(fmt.Sprintf("batch=%d/shards=%d", batch, shards), batch, shards, -1)
 		}
+	}
+	for _, shards := range []int{1, 2} {
+		run(fmt.Sprintf("captured/batch=128/shards=%d", shards), 128, shards, 3*n/4)
 	}
 }

@@ -12,7 +12,7 @@
 //
 // The log is split into P shards partitioning the user-id space (an edge
 // lives in the shard of its user, selected by the id's low bits so dense,
-// growing id ranges stay balanced). Each shard has its own lock, dedup set,
+// growing id ranges stay balanced). Each shard has its own lock, dedup sets,
 // and append-ordered edge log, so concurrent producers writing different
 // shards never contend. A single monotonic version survives the split: every
 // batch that adds at least one edge bumps one atomic counter, and appends
@@ -40,6 +40,20 @@
 // appending behind them. The built snapshot is published through an atomic
 // pointer under the single-flight build lock, so a slow store can never
 // stall ingest.
+//
+// # Deduplication against the captured snapshot
+//
+// The graph keeps one resident copy of the edges a capture absorbed: the CSR
+// it builds. Dedup asks that CSR (a binary search in the user's row) and two
+// small per-shard sets, which only hold what changed since the capture: an
+// edge is live iff it is in its shard's pending set (appended at or past the
+// shard's baseline mark), or it is in the base and not in its shard's
+// removed set (taken from below the mark by a retire pass or Remove). A
+// capture moves the shard sets into the base and gives every shard fresh,
+// empty sets; until the build publishes, the base answers from the previous
+// CSR with the absorbed sets applied, which is exactly the edge set the
+// build produces, so the publish swaps the base with no lock. Before the
+// first capture the pending sets hold every live edge.
 package stream
 
 import (
@@ -156,6 +170,12 @@ type Graph struct {
 	// groupScratch pools per-append batch-grouping state (multi-shard only).
 	groupScratch sync.Pool
 
+	// base is the edge set below the shards' baseline marks, which dedup
+	// asks before the shard sets (see edgeBase). A capture stores the
+	// interim base under commitMu's write half; the build's publish stores
+	// the built CSR alone, with no lock, since both answer alike.
+	base atomic.Pointer[edgeBase]
+
 	buildMu  sync.Mutex               // single-flights cold snapshot builds
 	snap     atomic.Pointer[snapshot] // published under buildMu, read lock-free
 	ext      *bipartite.ExtendBuilder // build arena, guarded by buildMu
@@ -183,8 +203,14 @@ type Graph struct {
 // shard headers on distinct cache lines so uncontended shards stay
 // uncontended at the hardware level too.
 type shard struct {
-	mu   sync.Mutex
-	seen u64set.Set // edge key set for O(1) dedup; supports delete for expiry
+	mu sync.Mutex
+	// pending holds the keys of entries[snapMark:], the edges appended since
+	// the last capture. removed holds the keys retire passes and Remove took
+	// from below snapMark since then: this shard's part of pendingDel, as a
+	// set. Both are written under the shard lock and the commit lock's write
+	// half moves them into the base at a capture.
+	pending u64set.Set
+	removed u64set.Set
 	// entries is the live log in append order. Appends only ever append;
 	// retire passes rewrite survivors into a fresh backing array (preserving
 	// order), so a captured view of the old array stays immutable.
@@ -197,6 +223,33 @@ type shard struct {
 	// insert delta. Written by captures and retires (commitMu write half).
 	snapMark int
 	_        [64]byte
+}
+
+// edgeBase is an immutable edge set: the one below the shards' baseline
+// marks. After a publish it is the built CSR alone. Between a capture and
+// its publish it is the previous CSR with the sets the capture absorbed
+// applied, per shard: the edges in pending, plus the CSR's edges not in
+// removed. That is the edge set the build produces from the same delta.
+type edgeBase struct {
+	csr     *bipartite.Graph // nil before the first capture
+	pending []u64set.Set     // nil once published
+	removed []u64set.Set
+}
+
+// has reports whether edge e, with key k, of shard si is in the base.
+func (b *edgeBase) has(si int, e bipartite.Edge, k uint64) bool {
+	if b == nil {
+		return false
+	}
+	if b.pending != nil {
+		if b.pending[si].Has(k) {
+			return true
+		}
+		if b.removed[si].Has(k) {
+			return false
+		}
+	}
+	return b.csr != nil && b.csr.HasEdge(e.U, e.V)
 }
 
 // snapshot pins a built CSR to the version it reflects and the window
@@ -298,10 +351,12 @@ func (g *Graph) Restore(snap *bipartite.Graph, version uint64) error {
 }
 
 // RestoreAt seeds an empty dynamic graph from a recovered snapshot, adopting
-// its version and window watermark. The snapshot is also pre-published as
-// the graph's cached CSR snapshot, so the first post-boot Snapshot — and
-// every delta build after it — starts from the recovered arrays instead of
-// rebuilding O(|E|) state.
+// its version and window watermark. The shard logs are filled straight from
+// the snapshot's user rows. The snapshot is also pre-published as the
+// graph's cached CSR snapshot and becomes the dedup base, so the first
+// post-boot Snapshot — and every delta build after it — starts from the
+// recovered arrays instead of rebuilding O(|E|) state, and the shard dedup
+// sets start empty.
 //
 // Restored edges share one stamp row: the snapshot's version and wall (the
 // time the snapshot was written; 0 falls back to now): their original
@@ -313,7 +368,8 @@ func (g *Graph) Restore(snap *bipartite.Graph, version uint64) error {
 //
 // RestoreAt must run before any Append and before SetJournal; snap must be a
 // canonical CSR (one produced by this package's Snapshot or the bipartite
-// codec), or later incremental snapshots would diverge from full rebuilds.
+// codec, whose validation rejects unsorted or repeated row entries), or
+// later incremental snapshots would diverge from full rebuilds.
 func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark, wall int64) error {
 	if g.version.Load() != 0 || g.numEdges.Load() != 0 {
 		return errors.New("stream: Restore requires an empty graph")
@@ -328,27 +384,38 @@ func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark
 	if wall == 0 {
 		wall = g.now().UnixNano()
 	}
-	if res := g.Append(snap.EdgeList()); res.Duplicates != 0 {
-		return fmt.Errorf("stream: restore snapshot contained %d duplicate edges", res.Duplicates)
+	g.commitMu.Lock()
+	defer g.commitMu.Unlock()
+	nu := snap.NumUsers()
+	perShard := make([]int, len(g.shards))
+	for u := 0; u < nu; u++ {
+		perShard[uint32(u)&g.mask] += snap.UserDegree(uint32(u))
 	}
-	atomicMax(&g.numUsers, int64(snap.NumUsers()))
-	atomicMax(&g.numMerchants, int64(snap.NumMerchants()))
+	for i, n := range perShard {
+		g.shards[i].entries = make([]bipartite.Edge, 0, n)
+	}
+	for u := 0; u < nu; u++ {
+		sh := &g.shards[uint32(u)&g.mask]
+		for _, v := range snap.UserNeighbors(uint32(u)) {
+			sh.entries = append(sh.entries, bipartite.Edge{U: uint32(u), V: v})
+		}
+	}
 	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.mu.Lock()
-		sh.runs = sh.runs[:0]
 		if len(sh.entries) > 0 {
 			sh.runs = append(sh.runs, stampRun{end: len(sh.entries), ver: version, at: wall})
 		}
 		sh.snapMark = len(sh.entries)
-		sh.mu.Unlock()
 	}
+	g.numEdges.Store(int64(snap.NumEdges()))
+	atomicMax(&g.numUsers, int64(nu))
+	atomicMax(&g.numMerchants, int64(snap.NumMerchants()))
+	g.base.Store(&edgeBase{csr: snap})
 	g.snap.Store(&snapshot{g: snap, version: version, mark: mark})
 	g.version.Store(version)
 	g.lastIngest.Store(version)
-	// The restore's internal Append recorded the whole snapshot as one giant
-	// touched set at a version label that no longer exists; the adopted
-	// version starts a fresh history.
+	// The adopted version starts a fresh history: nothing below it is
+	// answerable as a delta.
 	g.histReset(version)
 	return nil
 }
@@ -357,8 +424,8 @@ func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark
 // currently live. The version counter advances once per batch that adds at
 // least one new edge, so an idempotent retry of the same batch leaves the
 // version — and therefore every cached detection — intact. An edge that was
-// retired by the window is no longer in the dedup set, so re-observing it
-// re-ingests it with fresh stamps. The batch is committed shard by shard: a
+// retired by the window is no longer live, so re-observing it re-ingests it
+// with fresh stamps. The batch is committed shard by shard: a
 // concurrent snapshot may observe a prefix of a large multi-shard batch, but
 // never a torn shard.
 func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
@@ -368,8 +435,9 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 
 	var res AppendResult
 	var maxU, maxV int64 = -1, -1
+	base := g.base.Load()
 	if len(g.shards) == 1 {
-		row, added := g.shards[0].appendRun(edges, &res.Duplicates, &maxU, &maxV)
+		row, added := g.shards[0].appendRun(0, base, edges, &res.Duplicates, &maxU, &maxV)
 		res.Added = added
 		if res.Added > 0 {
 			g.numEdges.Add(int64(res.Added))
@@ -392,7 +460,7 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 			if len(run) == 0 {
 				continue
 			}
-			row, n := g.shards[si].appendRun(run, &res.Duplicates, &maxU, &maxV)
+			row, n := g.shards[si].appendRun(si, base, run, &res.Duplicates, &maxU, &maxV)
 			if n > 0 {
 				g.numEdges.Add(int64(n))
 				res.Added += n
@@ -445,17 +513,20 @@ func (g *Graph) commitBatch(res *AppendResult, edges []bipartite.Edge, stamp fun
 	}
 }
 
-// appendRun folds a slice of edges, all belonging to this shard (or the only
-// shard), into the shard under its lock. If any entry was added it reserves
-// the run-table row covering them and returns that row's index with the
-// number added; the batch commit stamps the row once the batch's version is
-// known. The index stays valid because concurrent batches only append rows
+// appendRun folds a slice of edges, all belonging to this shard si (or the
+// only shard), into the shard under its lock. An edge is a duplicate if the
+// base holds it and this shard has not removed it since, or if it is already
+// pending; otherwise it joins pending and the log. If any entry was added it
+// reserves the run-table row covering them and returns that row's index with
+// the number added; the batch commit stamps the row once the batch's version
+// is known. The index stays valid because concurrent batches only append rows
 // past it and retire passes exclude appends entirely.
-func (s *shard) appendRun(run []bipartite.Edge, dups *int, maxU, maxV *int64) (row, added int) {
+func (s *shard) appendRun(si int, base *edgeBase, run []bipartite.Edge, dups *int, maxU, maxV *int64) (row, added int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range run {
-		if !s.seen.Add(edgeKey(e)) {
+		k := edgeKey(e)
+		if (base.has(si, e, k) && !s.removed.Has(k)) || !s.pending.Add(k) {
 			*dups++
 			continue
 		}
@@ -690,72 +761,111 @@ func (g *Graph) snapshotInternal() *snapshot {
 		return s
 	}
 	prev := g.snap.Load()
-
-	// Capture a consistent cut under the commit lock: version, side sizes,
-	// watermark, a stable view of every shard log, and the pending deletes.
-	// The capture is also the baseline advance — each shard's snapMark moves
-	// to its log end and the delete list is taken — because the build below
-	// always completes and publishes, making this cut the next delta's
-	// starting point. Logs are append-only between retire passes (and retire
-	// rewrites into fresh arrays), so the captured views stay immutable after
-	// release and the hold time is O(shards), not O(edges) — ingest stalls
-	// for the capture, never for the build.
 	g.commitMu.Lock()
-	v := g.version.Load()
-	nu := int(g.numUsers.Load())
-	nm := int(g.numMerchants.Load())
-	mark := WindowMark{Version: g.markVer.Load(), Wall: g.markWall.Load()}
-	logs := scratch.Grow(&g.logRefs, len(g.shards))
-	insStart := scratch.Grow(&g.insStart, len(g.shards))
-	total, insTotal := 0, 0
+	c := g.captureLocked(prev)
+	g.commitMu.Unlock()
+	return g.publish(g.buildLocked(prev, c), c)
+}
+
+// cut is one capture: version, side sizes, watermark, a view of every shard
+// log with the baseline mark it had before the capture, and the deletes
+// since the previous capture.
+type cut struct {
+	version       uint64
+	nu, nm        int
+	mark          WindowMark
+	logs          [][]bipartite.Edge
+	insStart      []int
+	total, insLen int
+	dels          []bipartite.Edge
+}
+
+// captureLocked takes a consistent cut. It is also the baseline advance —
+// each shard's snapMark moves to its log end, the delete list is taken, and
+// the shard dedup sets move into the interim base — because the build that
+// follows always completes and publishes, making this cut the next delta's
+// starting point. Logs are append-only between retire passes (and retire
+// rewrites into fresh arrays), so the captured views stay immutable after
+// release and the hold time is O(shards), not O(edges) — ingest stalls for
+// the capture, never for the build. Requires buildMu and the commit write
+// lock; prev is the published snapshot the build will extend.
+func (g *Graph) captureLocked(prev *snapshot) cut {
+	c := cut{
+		version:  g.version.Load(),
+		nu:       int(g.numUsers.Load()),
+		nm:       int(g.numMerchants.Load()),
+		mark:     WindowMark{Version: g.markVer.Load(), Wall: g.markWall.Load()},
+		logs:     scratch.Grow(&g.logRefs, len(g.shards)),
+		insStart: scratch.Grow(&g.insStart, len(g.shards)),
+	}
+	interim := &edgeBase{pending: make([]u64set.Set, len(g.shards)), removed: make([]u64set.Set, len(g.shards))}
+	if prev != nil {
+		interim.csr = prev.g
+	}
 	for i := range g.shards {
 		sh := &g.shards[i]
-		logs[i] = sh.entries
-		insStart[i] = sh.snapMark
-		total += len(sh.entries)
-		insTotal += len(sh.entries) - sh.snapMark
+		c.logs[i] = sh.entries
+		c.insStart[i] = sh.snapMark
+		c.total += len(sh.entries)
+		c.insLen += len(sh.entries) - sh.snapMark
 		sh.snapMark = len(sh.entries)
+		// Fresh zero-value sets regrow from the minimum table: a cleared
+		// table would keep its high-water capacity.
+		interim.pending[i], sh.pending = sh.pending, u64set.Set{}
+		interim.removed[i], sh.removed = sh.removed, u64set.Set{}
 	}
-	dels := g.pendingDel
+	g.base.Store(interim)
+	c.dels = g.pendingDel
 	g.pendingDel = nil
-	g.commitMu.Unlock()
+	return c
+}
 
-	churn := insTotal + len(dels)
+// buildLocked builds the CSR of cut c: merged from prev and the delta when
+// the churn is small, rebuilt from every log otherwise. Requires buildMu,
+// which guards the build scratch.
+func (g *Graph) buildLocked(prev *snapshot, c cut) *bipartite.Graph {
+	defer clear(c.logs) // do not pin shard log arrays beyond the build
+	churn := c.insLen + len(c.dels)
 	//ensemfdet:nondeterministic-ok build timing feeds the *BuildNs metrics, never the built graph
 	start := time.Now()
-	var built *bipartite.Graph
 	if prev != nil && churn*deltaRebuildDenominator <= prev.g.NumEdges() {
-		ins := scratch.Grow(&g.edgeBuf, insTotal)[:0]
-		for i, log := range logs {
-			ins = append(ins, log[insStart[i]:]...)
+		ins := scratch.Grow(&g.edgeBuf, c.insLen)[:0]
+		for i, log := range c.logs {
+			ins = append(ins, log[c.insStart[i]:]...)
 		}
 		g.edgeBuf = ins
-		built = g.ext.ExtendDelta(prev.g, ins, dels, nu, nm)
+		built := g.ext.ExtendDelta(prev.g, ins, c.dels, c.nu, c.nm)
 		g.deltaBuilds.Add(1)
 		//ensemfdet:nondeterministic-ok metrics-only duration
 		g.deltaBuildNs.Add(int64(time.Since(start)))
-	} else {
-		all := scratch.Grow(&g.edgeBuf, total)[:0]
-		for _, log := range logs {
-			all = append(all, log...)
-		}
-		g.edgeBuf = all
-		built = g.ext.Rebuild(nu, nm, all)
-		g.fullBuilds.Add(1)
-		//ensemfdet:nondeterministic-ok metrics-only duration
-		g.fullBuildNs.Add(int64(time.Since(start)))
-		// A full rebuild grew the concat scratch to O(|E|); steady-state
-		// traffic then takes only the delta path, which needs a fraction of
-		// that. Release oversized buffers rather than pinning |E| edges of
-		// scratch for the graph's lifetime — the next full build (rare by
-		// design) just re-allocates.
-		if cap(g.edgeBuf) > fullBuildKeepCap {
-			g.edgeBuf = nil
-		}
+		return built
 	}
-	clear(logs) // do not pin shard log arrays beyond the build
+	all := scratch.Grow(&g.edgeBuf, c.total)[:0]
+	for _, log := range c.logs {
+		all = append(all, log...)
+	}
+	g.edgeBuf = all
+	built := g.ext.Rebuild(c.nu, c.nm, all)
+	g.fullBuilds.Add(1)
+	//ensemfdet:nondeterministic-ok metrics-only duration
+	g.fullBuildNs.Add(int64(time.Since(start)))
+	// A full rebuild grew the concat scratch to O(|E|); steady-state traffic
+	// then takes only the delta path, which needs a fraction of that.
+	// Release oversized buffers rather than pinning |E| edges of scratch for
+	// the graph's lifetime — the next full build (rare by design) just
+	// re-allocates.
+	if cap(g.edgeBuf) > fullBuildKeepCap {
+		g.edgeBuf = nil
+	}
+	return built
+}
 
-	ns := &snapshot{g: built, version: v, mark: mark}
+// publish makes built the cached snapshot of cut c and the dedup base. The
+// base swap needs no lock: the interim base the capture stored holds the
+// same edge set.
+func (g *Graph) publish(built *bipartite.Graph, c cut) *snapshot {
+	ns := &snapshot{g: built, version: c.version, mark: c.mark}
+	g.base.Store(&edgeBase{csr: built})
 	g.snap.Store(ns)
 	return ns
 }

@@ -194,6 +194,52 @@ func TestDeltaVersusFullBuildSelection(t *testing.T) {
 	}
 }
 
+// TestInterimBaseMatchesBuild stops each snapshot between its capture and
+// its publish, where appends dedup against the interim base, and checks
+// that the interim base holds exactly the edges of the CSR the build
+// produces, on every id of the grid, over delta and full builds with
+// removals and re-adds between captures.
+func TestInterimBaseMatchesBuild(t *testing.T) {
+	const users, merchants = 60, 50
+	for _, shards := range []int{1, 2, 8} {
+		rng := rand.New(rand.NewSource(int64(shards)))
+		g := NewSharded(shards)
+		var removed []bipartite.Edge
+		for round := 0; round < 12; round++ {
+			batch := randomEdges(int64(round), 20+rng.Intn(400), users, merchants)
+			g.Append(append(batch, removed...))
+			removed = nil
+			for _, e := range batch {
+				if rng.Intn(4) == 0 {
+					removed = append(removed, e)
+				}
+			}
+			g.Remove(removed)
+
+			g.buildMu.Lock()
+			prev := g.snap.Load()
+			g.commitMu.Lock()
+			c := g.captureLocked(prev)
+			g.commitMu.Unlock()
+			interim := g.base.Load()
+			built := g.buildLocked(prev, c)
+			g.publish(built, c)
+			g.buildMu.Unlock()
+			for u := uint32(0); u < users; u++ {
+				for v := uint32(0); v < merchants; v++ {
+					e := bipartite.Edge{U: u, V: v}
+					if got, want := interim.has(int(u&g.mask), e, edgeKey(e)), built.HasEdge(u, v); got != want {
+						t.Fatalf("shards=%d round %d: interim base has %v = %v, build %v", shards, round, e, got, want)
+					}
+				}
+			}
+		}
+		if bs := g.BuildStats(); bs.DeltaBuilds == 0 || bs.FullBuilds == 0 {
+			t.Fatalf("shards=%d: %+v, want both build paths", shards, bs)
+		}
+	}
+}
+
 // TestConcurrentIngestAndSnapshot hammers Append, Snapshot, and Stats from
 // many goroutines across shard counts; run with -race. Every snapshot must
 // be internally consistent, never shrink, and observed versions must be

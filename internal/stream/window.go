@@ -95,8 +95,7 @@ func (g *Graph) Window() WindowPolicy {
 }
 
 // Retire applies the window policy as of now: it removes every live edge
-// that violates a bound, deletes their keys from the dedup sets (so a
-// re-observed edge re-ingests with fresh stamps), bumps the version once if
+// that violates a bound (so a re-observed edge re-ingests with fresh stamps), bumps the version once if
 // anything was removed, journals a tombstone record at that version, and
 // advances the window watermark. It is a no-op (and does not bump the
 // version) when no policy is set or nothing is old enough.
@@ -285,10 +284,11 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 // entry's edge and the run row stamping it: the entry leaves its shard log
 // (survivors and their rows are rewritten into fresh backing arrays,
 // preserving order, so captured views of the old array stay immutable, and
-// rows left empty are dropped), its key leaves the dedup set, and — when the
-// entry sat below the shard's baseline mark, i.e. the previous snapshot
-// contains it — the edge joins pendingDel for the next delta build. Requires
-// the commit write lock; returns the removed edges for journaling.
+// rows left empty are dropped). An entry at or past the shard's baseline mark
+// leaves the pending set; one below it, which the base and the previous
+// snapshot contain, joins the removed set and pendingDel for the next delta
+// build. Requires the commit write lock; returns the removed edges for
+// journaling.
 func (g *Graph) removeMatchingLocked(dead func(stampRun, bipartite.Edge) bool) []bipartite.Edge {
 	var removed []bipartite.Edge
 	for i := range g.shards {
@@ -319,11 +319,13 @@ func (g *Graph) removeMatchingLocked(dead func(stampRun, bipartite.Edge) bool) [
 					fresh = append(fresh, e)
 					continue
 				}
-				sh.seen.Delete(edgeKey(e))
 				removed = append(removed, e)
 				if idx < sh.snapMark {
 					belowMark++
+					sh.removed.Add(edgeKey(e))
 					g.pendingDel = append(g.pendingDel, e)
+				} else {
+					sh.pending.Delete(edgeKey(e))
 				}
 			}
 			lo = r.end

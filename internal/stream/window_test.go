@@ -511,6 +511,23 @@ func TestConcurrentIngestRetireSnapshot(t *testing.T) {
 			if s.NumEdges() != st.NumEdges {
 				t.Errorf("final snapshot has %d edges, stats say %d", s.NumEdges(), st.NumEdges)
 			}
+			// Dedup must agree with the final snapshot after all the
+			// capture-to-publish windows above: everything in it is a
+			// duplicate, everything else on the id grid is fresh.
+			if res := g.Append(s.EdgeList()); res.Added != 0 {
+				t.Errorf("re-appending the final snapshot added %d edges", res.Added)
+			}
+			var lacking []bipartite.Edge
+			for u := uint32(0); u < 400; u++ {
+				for v := uint32(0); v < 400; v++ {
+					if !s.HasEdge(u, v) {
+						lacking = append(lacking, bipartite.Edge{U: u, V: v})
+					}
+				}
+			}
+			if res := g.Append(lacking); res.Added != len(lacking) {
+				t.Errorf("appending the %d grid edges the snapshot lacks added %d", len(lacking), res.Added)
+			}
 		})
 	}
 }

@@ -1,5 +1,7 @@
 // Package u64set implements an open-addressing set of uint64 keys with
-// deletion support, built for the stream layer's per-shard edge-dedup sets.
+// deletion support, built for the stream layer's per-shard dedup sets: the
+// edges appended since the last snapshot capture, and the edges removed
+// from below it.
 //
 // The previous implementation was a map[uint64]struct{} per shard — Go's
 // generic map spends ~48 bytes per resident entry (bucket headers, tophash
@@ -77,6 +79,25 @@ func (s *Set) Add(k uint64) bool {
 			s.slots[i] = k
 			s.n++
 			return true
+		}
+	}
+}
+
+// Has reports whether k is in the set.
+func (s *Set) Has(k uint64) bool {
+	if k == emptySlot {
+		return s.hasZero
+	}
+	if len(s.slots) == 0 {
+		return false
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := hash(k, mask); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return true
+		case emptySlot:
+			return false
 		}
 	}
 }

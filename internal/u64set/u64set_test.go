@@ -7,7 +7,7 @@ import (
 )
 
 // Observers and a pre-sizing constructor for the tests; production holds
-// a Set by value and only adds and deletes.
+// a Set by value and only adds, deletes and looks up.
 
 // New returns a set pre-sized to hold at least hint keys without resizing.
 func New(hint int) *Set {
@@ -29,25 +29,6 @@ func (s *Set) Len() int {
 // Bytes returns the resident size of the table backing array — the number
 // the dedup-memory benchmark compares against the map implementation.
 func (s *Set) Bytes() int { return 8 * cap(s.slots) }
-
-// Has reports whether k is in the set.
-func (s *Set) Has(k uint64) bool {
-	if k == emptySlot {
-		return s.hasZero
-	}
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := hash(k, mask); ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case k:
-			return true
-		case emptySlot:
-			return false
-		}
-	}
-}
 
 func TestBasicAddHasDelete(t *testing.T) {
 	s := New(0)
