@@ -33,7 +33,9 @@ type Config struct {
 	NumSamples int
 	// SampleRatio is S ∈ (0, 1]; 0 means DefaultS.
 	SampleRatio float64
-	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
+	// Parallelism bounds the worker pool; 0 means GOMAXPROCS. Each worker
+	// holds one scratch Arena for the length of the Run, so peak scratch
+	// grows with Parallelism and none of it outlives the Run.
 	Parallelism int
 	// Seed makes the whole ensemble deterministic. Sample i draws from an
 	// rng seeded with Seed and i only.
@@ -43,23 +45,6 @@ type Config struct {
 	// CollectScores retains every sample's per-block score curve in the
 	// output (Figure 1); costs O(N·kˆ) memory.
 	CollectScores bool
-	// Arenas, when non-nil, supplies the per-worker scratch arenas (sampler
-	// buffers, remapper tables, peeler state, vote accumulators). Serving
-	// layers share one pool across requests so the hot path stops
-	// allocating once warm; nil means Run uses a private pool, which still
-	// reuses arenas across the samples each worker processes. Arenas never
-	// affect results — votes are byte-identical for a fixed Seed either
-	// way — so the field is excluded from cache fingerprints.
-	Arenas *ArenaPool
-	// Scratch, when non-nil, backs the Output's per-sample arrays (KHats,
-	// SampleWork, and the BlockScores spine under CollectScores) with
-	// reusable buffers instead of fresh allocations. The serving layer keeps
-	// a small pool of these so repeated cold detections stop allocating
-	// per-run output scaffolding. The returned Output's per-sample fields
-	// then alias the scratch and are invalidated by the next Run using it;
-	// Votes is always freshly allocated and safe to retain. Like Arenas,
-	// Scratch never affects results.
-	Scratch *RunScratch
 	// Record, when set, attaches a reuse Record to the Output: per sample,
 	// the node set the realized subgraph provably depends on (compact
 	// bitsets) and the sparse vote contribution (voted-node lists). The
@@ -69,19 +54,8 @@ type Config struct {
 	// reuse cannot be proven: an unknown sampling method, a custom density
 	// metric or explicit merchant weights (their values need not be local to
 	// a merchant's own adjacency), or CollectScores (clean samples cannot
-	// reconstruct their score curves). Like Arenas and Scratch, Record never
-	// affects votes.
+	// reconstruct their score curves). Record never affects votes.
 	Record bool
-}
-
-// RunScratch holds the reusable per-run output buffers selected by
-// Config.Scratch. The zero value is ready; buffers grow in place. A
-// RunScratch must not back two concurrent Runs.
-type RunScratch struct {
-	khats  []int
-	work   []time.Duration
-	scores [][]float64
-	dirty  []int // RunIncremental's dirty-sample index list
 }
 
 // Defaults for the paper's main experimental setting (§V-C1).
@@ -230,9 +204,8 @@ type Output struct {
 	// reports zero work.
 	SampleWork []time.Duration
 	// Rec is the reuse record (Config.Record); nil when recording was off or
-	// the configuration is not provably resumable. Unlike the scratch-backed
-	// fields above, Rec is always freshly allocated and safe to retain — it
-	// is the incremental base the serving layer keeps across requests.
+	// the configuration is not provably resumable. It is the incremental
+	// base the serving layer keeps across requests.
 	Rec *Record
 	// PeelRounds is the total number of peeling rounds (detected blocks,
 	// pre-truncation) executed across the run's samples — the unit the
@@ -281,7 +254,6 @@ type runEnv struct {
 	parentWeights []float64
 	out           *Output
 	rec           *Record
-	pool          *ArenaPool
 }
 
 func newRunEnv(g *bipartite.Graph, cfg Config) *runEnv {
@@ -312,20 +284,10 @@ func newRunEnv(g *bipartite.Graph, cfg Config) *runEnv {
 			NumSamples: env.n,
 		},
 	}
-	if s := cfg.Scratch; s != nil {
-		// Every index is overwritten by its sample before Run returns
-		// successfully, so growing without zeroing is safe.
-		env.out.KHats = scratch.Grow(&s.khats, env.n)
-		env.out.SampleWork = scratch.Grow(&s.work, env.n)
-		if cfg.CollectScores {
-			env.out.BlockScores = scratch.Grow(&s.scores, env.n)
-		}
-	} else {
-		env.out.KHats = make([]int, env.n)
-		env.out.SampleWork = make([]time.Duration, env.n)
-		if cfg.CollectScores {
-			env.out.BlockScores = make([][]float64, env.n)
-		}
+	env.out.KHats = make([]int, env.n)
+	env.out.SampleWork = make([]time.Duration, env.n)
+	if cfg.CollectScores {
+		env.out.BlockScores = make([][]float64, env.n)
 	}
 
 	if cfg.Record {
@@ -333,13 +295,6 @@ func newRunEnv(g *bipartite.Graph, cfg Config) *runEnv {
 			env.rec = newRecord(kind, env.n, cfg.Seed, env.ratio, g)
 			env.out.Rec = env.rec
 		}
-	}
-
-	env.pool = cfg.Arenas
-	if env.pool == nil {
-		// Private pool: arenas are still recycled across the samples each
-		// worker processes within this Run, just not across Runs.
-		env.pool = NewArenaPool()
 	}
 	return env
 }
@@ -447,7 +402,7 @@ func (env *runEnv) execute(indices []int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := env.pool.get()
+			a := new(Arena)
 			if rec == nil {
 				scratch.GrowZero(&a.userVotes, g.NumUsers())
 				scratch.GrowZero(&a.merchVotes, g.NumMerchants())
@@ -472,7 +427,6 @@ func (env *runEnv) execute(indices []int) error {
 				}
 				voteMu.Unlock()
 			}
-			env.pool.put(a)
 		}()
 	}
 	if indices == nil {

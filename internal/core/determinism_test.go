@@ -103,49 +103,3 @@ func TestRunDeterministicAcrossParallelismLevels(t *testing.T) {
 		}
 	}
 }
-
-// TestRunDeterministicWithWarmedArenas runs the ensemble twice through the
-// same ArenaPool — the second run reuses every warmed buffer (remappers,
-// peeler state, vote accumulators) — and again after warming the pool on a
-// *different* graph and config, which is the serving engine's actual reuse
-// pattern across versions. All runs must agree with a pool-free run.
-func TestRunDeterministicWithWarmedArenas(t *testing.T) {
-	g, _ := plantedGraph(41, 280, 260, 650, 2, 8, 8)
-	cfg := Config{NumSamples: 12, SampleRatio: 0.25, Seed: 3, Parallelism: 4}
-	cold, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := NewArenaPool()
-	cfg.Arenas = pool
-	first, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Votes, cold.Votes) {
-		t.Error("pooled run differs from pool-free run")
-	}
-	if !reflect.DeepEqual(second.Votes, cold.Votes) {
-		t.Error("warmed-arena rerun differs from pool-free run")
-	}
-
-	// Pollute the pool with a larger graph and different sampler, then
-	// verify the original detection is still bit-for-bit reproducible.
-	big, _ := plantedGraph(43, 600, 500, 2000, 3, 9, 9)
-	bigCfg := Config{Method: sampling.TwoSideNode{}, NumSamples: 8, SampleRatio: 0.5, Seed: 77, Parallelism: 4, Arenas: pool}
-	if _, err := Run(big, bigCfg); err != nil {
-		t.Fatal(err)
-	}
-	third, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(third.Votes, cold.Votes) {
-		t.Error("arena reuse across graphs leaked state into votes")
-	}
-}

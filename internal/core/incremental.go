@@ -42,7 +42,6 @@ import (
 
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/sampling"
-	"ensemfdet/internal/scratch"
 )
 
 // ErrNotResumable reports that RunIncremental cannot prove reuse for the
@@ -115,7 +114,7 @@ type Record struct {
 	votedU, votedM [][]uint32
 
 	// khats[i] is sample i's truncation point, re-reported for reused
-	// samples. Owned by the record (never scratch-backed).
+	// samples. Owned by the record.
 	khats []int
 }
 
@@ -326,13 +325,7 @@ func RunIncremental(g *bipartite.Graph, cfg Config, prev *Output, delta DeltaInf
 		}
 	}
 
-	var dirty []int
-	if s := cfg.Scratch; s != nil {
-		dirty = scratch.Grow(&s.dirty, n)[:0]
-	} else {
-		dirty = make([]int, 0, n)
-	}
-	dirty = classify(rec, delta, minTU, maxTU, dirty)
+	dirty := classify(rec, delta, minTU, maxTU, make([]int, 0, n))
 	st.Reused, st.Rerun = n-len(dirty), len(dirty)
 
 	env := newRunEnv(g, cfg)

@@ -20,7 +20,7 @@
 // # Recovery
 //
 // Boot-time recovery loads the newest valid snapshot, seeds the stream
-// graph with it (stream.Graph.Restore — the decoded CSR is also
+// graph with it (stream.Graph.RestoreAt — the decoded CSR is also
 // pre-published as the first cached snapshot), then replays the WAL records
 // above the snapshot's version, in version order, through the normal
 // sharded Append path. Replay is idempotent because appends deduplicate, and

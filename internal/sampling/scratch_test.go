@@ -46,8 +46,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 }
 
 // TestSampleIntoAcrossGraphs reuses one scratch against parents of very
-// different sizes, mimicking the serving engine's arena pool surviving
-// stream-graph versions.
+// different sizes: a draw must carry no state from one parent into the next.
 func TestSampleIntoAcrossGraphs(t *testing.T) {
 	big := randomGraph(21, 300, 260, 4000)
 	small := randomGraph(22, 10, 8, 30)

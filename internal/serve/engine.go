@@ -246,9 +246,8 @@ type entry struct {
 	err   error
 	// out is the full recorded output, kept (set under the engine lock when
 	// the entry is cached) only when it carries a reuse record: it is what
-	// the next version's run resumes from. Only out.Votes and out.Rec remain
-	// valid after the run: the scratch-backed per-sample arrays are recycled
-	// into later runs.
+	// the next version's run resumes from. Every array in it is the run's
+	// own: no later run writes to it.
 	out *core.Output
 	// used is the engine's use tick at the entry's last publish or hit, for
 	// LRU eviction; guarded by the engine lock.
@@ -265,21 +264,11 @@ type entry struct {
 type Engine struct {
 	src  Snapshotter
 	opts Options
-	sem  chan struct{} // bounds concurrent ensemble runs
-
-	// arenas is shared by every ensemble run this engine launches: each run
-	// draws one arena per worker and returns it afterwards, so scratch
-	// state (sampler buffers, remapper tables, peeler state, vote
-	// accumulators) persists per worker across requests and graph versions
-	// instead of being rebuilt per request. Arenas are pure scratch —
-	// results are byte-identical for a fixed seed — so sharing never leaks
-	// state between cache keys.
-	arenas *core.ArenaPool
-
-	// outScratch recycles the per-run output scaffolding (kˆ array, sample
-	// work array, φ-curve spine) across cold runs, one slot per concurrent
-	// run. Votes are never pooled — cached entries retain them.
-	outScratch chan *core.RunScratch
+	// sem bounds concurrent ensemble runs. A run's scratch (one arena per
+	// worker) lives inside core.Run and is dropped when it returns: the
+	// engine keeps none between requests, so idle memory does not grow
+	// with the core count.
+	sem chan struct{}
 
 	// done holds the newest completed run per config fingerprint; flight
 	// holds the runs still executing, which are never evicted (a repeat
@@ -341,13 +330,11 @@ type Engine struct {
 // NewEngine returns an Engine serving detections over src.
 func NewEngine(src Snapshotter, opts Options) *Engine {
 	e := &Engine{
-		src:        src,
-		opts:       opts,
-		sem:        make(chan struct{}, opts.maxConcurrent()),
-		arenas:     core.NewArenaPool(),
-		outScratch: make(chan *core.RunScratch, opts.maxConcurrent()),
-		done:       make(map[string]*entry),
-		flight:     make(map[cacheKey]*entry),
+		src:    src,
+		opts:   opts,
+		sem:    make(chan struct{}, opts.maxConcurrent()),
+		done:   make(map[string]*entry),
+		flight: make(map[cacheKey]*entry),
 	}
 	e.win, _ = src.(Windower)
 	e.delta, _ = src.(Deltaer)
@@ -546,24 +533,11 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 		ent.err = err
 		return
 	}
-	// Draw a per-run output scratch (kˆ/φ-curve arrays) if one is free; the
-	// pool is sized to the concurrency bound, so steady-state cold runs
-	// reuse instead of allocating. Only Votes and the reuse record outlive
-	// the run — they are the freshly-allocated pieces — so recycling is
-	// invisible to callers.
-	var rs *core.RunScratch
-	select {
-	case rs = <-e.outScratch:
-	default:
-		rs = new(core.RunScratch)
-	}
 	cfg := core.Config{
 		Method:      method,
 		NumSamples:  n.NumSamples,
 		SampleRatio: n.SampleRatio,
 		Seed:        n.Seed,
-		Arenas:      e.arenas,
-		Scratch:     rs,
 		// Record every run: the per-sample record is what the next version's
 		// run resumes from. Non-resumable configs skip recording internally.
 		Record: true,
@@ -590,10 +564,6 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 			case errors.Is(ierr, core.ErrNotResumable):
 				e.incFallbacks.Add(1)
 			default:
-				select {
-				case e.outScratch <- rs:
-				default:
-				}
 				ent.err = ierr
 				return
 			}
@@ -606,10 +576,6 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 			ent.rerun = out.Votes.NumSamples
 			e.samplesRerun.Add(uint64(out.Votes.NumSamples))
 		}
-	}
-	select {
-	case e.outScratch <- rs:
-	default:
 	}
 	if err != nil {
 		ent.err = err

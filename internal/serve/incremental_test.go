@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -326,5 +327,35 @@ func TestDetectHTTPReportsIncrementalFields(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestCachedBaseSurvivesLaterRuns pins that a cached incremental base owns
+// its per-sample arrays: a later cold run on another config must not write
+// into the KHats and SampleWork the first config's cached Output holds.
+func TestCachedBaseSurvivesLaterRuns(t *testing.T) {
+	g := seedStream(t)
+	e := NewEngine(g, Options{})
+	ctx := context.Background()
+	a := onsParams()
+	if _, err := e.Votes(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	base := e.done[a.Fingerprint()].out
+	e.mu.Unlock()
+	khats := slices.Clone(base.KHats)
+	work := slices.Clone(base.SampleWork)
+
+	b := a
+	b.Sampler, b.Seed = "TNS", a.Seed+1
+	if _, err := e.Votes(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(base.KHats, khats) {
+		t.Errorf("cached base KHats changed under a later run: %v -> %v", khats, base.KHats)
+	}
+	if !slices.Equal(base.SampleWork, work) {
+		t.Error("cached base SampleWork changed under a later run")
 	}
 }

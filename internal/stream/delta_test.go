@@ -158,7 +158,7 @@ func TestDeltaResetOnRestoreForceAndReplayHole(t *testing.T) {
 	snap, ver := base.Snapshot()
 
 	g := NewSharded(2)
-	if err := g.Restore(snap, ver); err != nil {
+	if err := g.RestoreAt(snap, ver, WindowMark{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := g.Delta(0, ver); ok {

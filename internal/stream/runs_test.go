@@ -568,3 +568,43 @@ func BenchmarkStreamResidentBytes(b *testing.B) {
 		run(fmt.Sprintf("captured/batch=128/shards=%d", shards), 128, shards, 3*n/4)
 	}
 }
+
+// BenchmarkAppendAfterCapture reports the append cost per edge on a stream
+// whose dedup is answered by a large captured CSR: 2 M edges go in and are
+// snapshotted, then 0.5 M fresh edges (captured users, new merchants, users
+// visited in a scattered order) are appended in 128-edge batches. Each fresh
+// edge probes the shard's pending set, which grows from empty, and binary
+// searches its user's row in the captured CSR. Only the fresh appends are
+// timed.
+func BenchmarkAppendAfterCapture(b *testing.B) {
+	const captured, fresh, batch = 1 << 21, 1 << 19, 128
+	const users = captured >> 4
+	old := make([]bipartite.Edge, captured)
+	for i := range old {
+		old[i] = bipartite.Edge{U: uint32(i >> 4), V: uint32(i&15) * 4099}
+	}
+	edges := make([]bipartite.Edge, fresh)
+	for i := range edges {
+		edges[i] = bipartite.Edge{U: uint32(i*40503) & (users - 1), V: 1<<16 + uint32(i/users)}
+	}
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := NewSharded(shards)
+				for off := 0; off < captured; off += 4096 {
+					g.Append(old[off : off+4096])
+				}
+				g.Snapshot()
+				heapInUse()
+				b.StartTimer()
+				for off := 0; off < fresh; off += batch {
+					if st := g.Append(edges[off : off+batch]); st.Added != batch {
+						b.Fatalf("fresh batch added %d of %d", st.Added, batch)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fresh), "ns/edge")
+		})
+	}
+}

@@ -343,13 +343,6 @@ func (g *Graph) SetJournal(j Journal) {
 	g.journal = j
 }
 
-// Restore seeds an empty dynamic graph from a recovered snapshot, adopting
-// its version; RestoreAt is the variant recovery uses to also adopt the
-// window watermark and ingest-time stamp a snapshot file records.
-func (g *Graph) Restore(snap *bipartite.Graph, version uint64) error {
-	return g.RestoreAt(snap, version, WindowMark{}, 0)
-}
-
 // RestoreAt seeds an empty dynamic graph from a recovered snapshot, adopting
 // its version and window watermark. The shard logs are filled straight from
 // the snapshot's user rows. The snapshot is also pre-published as the
@@ -372,7 +365,7 @@ func (g *Graph) Restore(snap *bipartite.Graph, version uint64) error {
 // later incremental snapshots would diverge from full rebuilds.
 func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark, wall int64) error {
 	if g.version.Load() != 0 || g.numEdges.Load() != 0 {
-		return errors.New("stream: Restore requires an empty graph")
+		return errors.New("stream: RestoreAt requires an empty graph")
 	}
 	g.markVer.Store(mark.Version)
 	g.markWall.Store(mark.Wall)

@@ -409,7 +409,7 @@ func TestRestoreAdoptsSnapshotAndVersion(t *testing.T) {
 
 	for _, shards := range []int{1, 8} {
 		g := NewSharded(shards)
-		if err := g.Restore(snap, v); err != nil {
+		if err := g.RestoreAt(snap, v, WindowMark{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if g.Version() != v {
@@ -443,17 +443,17 @@ func TestRestoreAdoptsSnapshotAndVersion(t *testing.T) {
 		}
 	}
 
-	// Restore refuses a non-empty graph.
+	// RestoreAt refuses a non-empty graph.
 	g := New()
 	g.AppendEdge(0, 0)
-	if err := g.Restore(snap, v); err == nil {
-		t.Fatal("Restore on a non-empty graph must fail")
+	if err := g.RestoreAt(snap, v, WindowMark{}, 0); err == nil {
+		t.Fatal("RestoreAt on a non-empty graph must fail")
 	}
 }
 
 func TestRestoreNilSnapshot(t *testing.T) {
 	g := New()
-	if err := g.Restore(nil, 0); err != nil {
+	if err := g.RestoreAt(nil, 0, WindowMark{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g.Version() != 0 || g.Stats().NumEdges != 0 {
