@@ -1,6 +1,8 @@
 package bipartite
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,6 +16,13 @@ func graphsIdentical(a, b *Graph) bool {
 		reflect.DeepEqual(a.merchOff, b.merchOff) &&
 		reflect.DeepEqual(a.merchAdj, b.merchAdj)
 }
+
+// layouts are the merchant-side layouts extendDelta picks between, by its
+// denominator: ExtendDelta's own choice, always merge, always transpose.
+var layouts = []struct {
+	name  string
+	denom int
+}{{"auto", transposeDenominator}, {"merge", 0}, {"transpose", math.MaxInt}}
 
 func mustFromEdges(t *testing.T, nu, nm int, edges []Edge) *Graph {
 	t.Helper()
@@ -142,13 +151,15 @@ func TestExtendDeltaMatchesFullBuild(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := NewExtendBuilder().ExtendDelta(prev, tc.inserts, tc.deletes, 0, 0)
-			if err := got.Validate(); err != nil {
-				t.Fatalf("delta-extended graph invalid: %v", err)
-			}
-			want := mustFromEdges(t, got.NumUsers(), got.NumMerchants(), applyDelta(base, tc.inserts, tc.deletes))
-			if !graphsIdentical(got, want) {
-				t.Fatalf("delta extend diverged from full build over the surviving set:\n got %v\nwant %v", got, want)
+			for _, l := range layouts {
+				got := NewExtendBuilder().extendDelta(prev, tc.inserts, tc.deletes, 0, 0, l.denom)
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: delta-extended graph invalid: %v", l.name, err)
+				}
+				want := mustFromEdges(t, got.NumUsers(), got.NumMerchants(), applyDelta(base, tc.inserts, tc.deletes))
+				if !graphsIdentical(got, want) {
+					t.Fatalf("%s: delta extend diverged from full build over the surviving set:\n got %v\nwant %v", l.name, got, want)
+				}
 			}
 		})
 	}
@@ -166,8 +177,14 @@ func rowEdges(g *Graph, u uint32) []Edge {
 // TestExtendDeltaChained churns a graph through random insert+delete rounds
 // on one reused builder — the windowed streaming access pattern — checking
 // every intermediate CSR byte-for-byte against a from-scratch build of the
-// surviving edge set.
+// surviving edge set, under each merchant-side layout.
 func TestExtendDeltaChained(t *testing.T) {
+	for _, l := range layouts {
+		extendDeltaChained(t, l.name, l.denom)
+	}
+}
+
+func extendDeltaChained(t *testing.T, layout string, denom int) {
 	rng := rand.New(rand.NewSource(29))
 	b := NewExtendBuilder()
 	live := map[Edge]struct{}{}
@@ -196,9 +213,9 @@ func TestExtendDeltaChained(t *testing.T) {
 		for _, e := range inserts {
 			live[e] = struct{}{}
 		}
-		cur = b.ExtendDelta(cur, inserts, deletes, 0, 0)
+		cur = b.extendDelta(cur, inserts, deletes, 0, 0, denom)
 		if err := cur.Validate(); err != nil {
-			t.Fatalf("round %d: invalid: %v", round, err)
+			t.Fatalf("%s round %d: invalid: %v", layout, round, err)
 		}
 		surviving := make([]Edge, 0, len(live))
 		for e := range live {
@@ -206,10 +223,10 @@ func TestExtendDeltaChained(t *testing.T) {
 		}
 		want := mustFromEdges(t, cur.NumUsers(), cur.NumMerchants(), surviving)
 		if !graphsIdentical(cur, want) {
-			t.Fatalf("round %d: delta extend diverged from full build", round)
+			t.Fatalf("%s round %d: delta extend diverged from full build", layout, round)
 		}
 		if cur.NumEdges() != len(live) {
-			t.Fatalf("round %d: %d edges, model has %d", round, cur.NumEdges(), len(live))
+			t.Fatalf("%s round %d: %d edges, model has %d", layout, round, cur.NumEdges(), len(live))
 		}
 	}
 }
@@ -268,4 +285,100 @@ func TestExtendAllocsIndependentOfGraphSize(t *testing.T) {
 	if counts[1<<15] > 8 {
 		t.Errorf("delta extend allocates %v times, want <= 8", counts[1<<15])
 	}
+}
+
+// TestExtendReleasesLargeScratch pins the builder's scratch rule: a delta of
+// 1 M edges (every edge of a 512 Ki-edge graph deleted, as many fresh ones
+// inserted) grows all four sort buffers past MaxKeptScratch, and the build
+// releases every one of them; a small build keeps its buffers for reuse.
+func TestExtendReleasesLargeScratch(t *testing.T) {
+	const n = 1 << 19
+	old := make([]Edge, n)
+	fresh := make([]Edge, n)
+	for i := range old {
+		old[i] = Edge{U: uint32(i >> 3), V: uint32(i & 7)}
+		fresh[i] = Edge{U: uint32(i >> 3), V: 8 + uint32(i&7)}
+	}
+	prev := mustFromEdges(t, n>>3, 8, old)
+	b := NewExtendBuilder()
+	got := b.ExtendDelta(prev, fresh, old, 0, 0)
+	if got.NumEdges() != n {
+		t.Fatalf("%d edges after the swap, want %d", got.NumEdges(), n)
+	}
+	bufs := map[string][]Edge{"ud": b.ud, "dd": b.dd, "vd": b.vd, "vdel": b.vdel}
+	for name, buf := range bufs {
+		if cap(buf) > MaxKeptScratch {
+			t.Errorf("after a 1 M-edge delta the builder keeps %s at capacity %d, want <= %d", name, cap(buf), MaxKeptScratch)
+		}
+	}
+	b.ExtendDelta(got, old[:100], fresh[:100], 0, 0)
+	if cap(b.ud) == 0 || cap(b.dd) == 0 || cap(b.vd) == 0 || cap(b.vdel) == 0 {
+		t.Errorf("a 200-edge delta released its buffers: ud %d, dd %d, vd %d, vdel %d",
+			cap(b.ud), cap(b.dd), cap(b.vd), cap(b.vdel))
+	}
+}
+
+// FuzzExtendDelta checks ExtendDelta(prev, inserts, deletes), under each
+// merchant-side layout, against FromEdges of the resulting edge set, byte
+// for byte. The bytes are prev's
+// side sizes and the declared sizes, then (list, user, merchant) triples.
+// Ids fall on a 16×16 grid, larger than prev's sides, so inserts grow the
+// sides and deletes name rows prev lacks, and the short grid makes
+// duplicates, deletes of absent edges, re-inserted deletes and empty rows
+// common.
+func FuzzExtendDelta(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 0})
+	f.Add([]byte{
+		3, 3, 0, 0,
+		0, 0, 1, 0, 1, 2, 0, 2, 0, // prev: (0,1) (1,2) (2,0)
+		1, 0, 1, 1, 0, 1, // insert (0,1) twice
+		2, 1, 2, 2, 1, 2, // delete (1,2) twice
+		2, 9, 9, 2, 0, 2, // delete a row past prev, and an absent edge
+		1, 2, 0, 2, 2, 0, // insert and delete (2,0)
+		1, 12, 14, // grow both sides
+	})
+	f.Add([]byte{5, 2, 15, 9, 0, 4, 1, 2, 4, 1, 1, 6, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		nu, nm := 1+int(data[0]%12), 1+int(data[1]%12)
+		declU, declM := int(data[2]%20), int(data[3]%20)
+		var prevEdges, ins, dels []Edge
+		for b := data[4:]; len(b) >= 3; b = b[3:] {
+			e := Edge{U: uint32(b[1] % 16), V: uint32(b[2] % 16)}
+			switch b[0] % 3 {
+			case 0:
+				prevEdges = append(prevEdges, Edge{U: e.U % uint32(nu), V: e.V % uint32(nm)})
+			case 1:
+				ins = append(ins, e)
+			default:
+				dels = append(dels, e)
+			}
+		}
+		prev := mustFromEdges(t, nu, nm, prevEdges)
+		wantU, wantM := max(nu, declU), max(nm, declM)
+		for _, e := range ins {
+			wantU, wantM = max(wantU, int(e.U)+1), max(wantM, int(e.V)+1)
+		}
+		want := csrBytes(t, mustFromEdges(t, wantU, wantM, applyDelta(prevEdges, ins, dels)))
+		for _, l := range layouts {
+			got := NewExtendBuilder().extendDelta(prev, ins, dels, declU, declM, l.denom)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s: merged graph invalid: %v", l.name, err)
+			}
+			if !bytes.Equal(csrBytes(t, got), want) {
+				t.Fatalf("%s: merge differs from a build of the resulting set: %v", l.name, got)
+			}
+		}
+	})
+}
+
+func csrBytes(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteCSR(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -257,30 +257,16 @@ func buildFromEdges(numUsers, numMerchants int, edges []Edge) *Graph {
 	}
 	edges = dedup
 
-	g := &Graph{
-		userOff:  make([]int, numUsers+1),
-		userAdj:  make([]uint32, len(edges)),
-		merchOff: make([]int, numMerchants+1),
-		merchAdj: make([]uint32, len(edges)),
-	}
-	for _, e := range edges {
-		g.userOff[e.U+1]++
-		g.merchOff[e.V+1]++
+	// Sorted user-major, the edges' merchants are the user rows in order.
+	uoff := make([]int, numUsers+1)
+	uadj := make([]uint32, len(edges))
+	for i, e := range edges {
+		uoff[e.U+1]++
+		uadj[i] = e.V
 	}
 	for i := 1; i <= numUsers; i++ {
-		g.userOff[i] += g.userOff[i-1]
+		uoff[i] += uoff[i-1]
 	}
-	for i := 1; i <= numMerchants; i++ {
-		g.merchOff[i] += g.merchOff[i-1]
-	}
-	ucur := make([]int, numUsers)
-	mcur := make([]int, numMerchants)
-	for _, e := range edges {
-		g.userAdj[g.userOff[e.U]+ucur[e.U]] = e.V
-		ucur[e.U]++
-		g.merchAdj[g.merchOff[e.V]+mcur[e.V]] = e.U
-		mcur[e.V]++
-	}
-	// merchant rows receive user ids in user-major order, hence already sorted.
-	return g
+	moff, madj := transpose(uoff, uadj, numMerchants)
+	return &Graph{userOff: uoff, userAdj: uadj, merchOff: moff, merchAdj: madj}
 }

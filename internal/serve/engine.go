@@ -138,10 +138,9 @@ type Options struct {
 	MaxNodeID uint32
 	// IncrementalMaxDeltaRatio bounds when a run goes incremental instead of
 	// cold: the edge churn between the base version and the requested one
-	// must be at most this fraction of the snapshot's edges (0 → 0.25,
-	// mirroring the stream layer's delta-rebuild threshold; negative
-	// disables incremental detection entirely). Past the threshold most
-	// samples are dirty anyway and classification is pure overhead.
+	// must be at most this fraction of the snapshot's edges (0 → 0.25;
+	// negative disables incremental detection entirely). Past the threshold
+	// most samples are dirty anyway and classification is pure overhead.
 	IncrementalMaxDeltaRatio float64
 	// IngestQueue bounds how many ingest batches may be inside Ingest at
 	// once (validating, appending, journaling). When the bound is reached
@@ -587,8 +586,7 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 }
 
 // deltaWithinRatio applies the incremental threshold: the churn between base
-// and target must be a small fraction of the snapshot's edges, mirroring the
-// stream layer's delta-vs-rebuild decision.
+// and target must be a small fraction of the snapshot's edges.
 func (e *Engine) deltaWithinRatio(d stream.Delta, snap *bipartite.Graph) bool {
 	ne := snap.NumEdges()
 	if ne == 0 {

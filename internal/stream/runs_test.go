@@ -103,11 +103,19 @@ func TestStampsExactUnderOutOfOrderCommits(t *testing.T) {
 
 // stampModel is the reference for the stream's documented semantics: every
 // live edge with the (version, wall time) its batch committed as, aged by
-// the WindowPolicy rules, restamped wholesale by RestoreAt.
+// the WindowPolicy rules, restamped wholesale by RestoreAt and by the refill
+// of a log that a capture without a window dropped.
 type stampModel struct {
 	ver, lastIngest uint64
 	live            map[bipartite.Edge]modelStamp
 	nu, nm          int
+	// windowed mirrors the installed policy; capVer is the version of the
+	// newest capture (captured once there is one); dropped says a capture
+	// without a window has dropped the log since the last refill, and
+	// dropTop is the newest stamp it dropped.
+	windowed, captured, dropped bool
+	capVer                      uint64
+	dropTop                     modelStamp
 }
 
 type modelStamp struct {
@@ -144,10 +152,47 @@ func (m *stampModel) remove(edges []bipartite.Edge) {
 	}
 }
 
-// retire applies p at now: version and wall age first, then MaxEdges drops
-// whole versions oldest-first and trims the boundary version's canonically
-// smallest edges so the survivors land exactly on the cap.
+// capture mirrors a Snapshot that captures, one at a new version (or the
+// first). Without a window the capture drops the log, keeping the newest
+// stamp of what it dropped; every live edge was in the log or is in the
+// base, whose stamps an earlier drop already folded in.
+func (m *stampModel) capture() {
+	if m.captured && m.capVer == m.ver {
+		return // the stream answers from its cached snapshot
+	}
+	m.captured, m.capVer = true, m.ver
+	if m.windowed {
+		return
+	}
+	m.dropped = true
+	for _, s := range m.live {
+		m.dropTop.ver = max(m.dropTop.ver, s.ver)
+		m.dropTop.at = max(m.dropTop.at, s.at)
+	}
+}
+
+// setWindow mirrors SetWindow: installing a window on a graph whose log a
+// capture dropped refills it, restamping every edge the last capture
+// absorbed (version at most capVer; later ones are in the log) at dropTop.
+func (m *stampModel) setWindow(p WindowPolicy) {
+	m.windowed = p.Enabled()
+	if !m.windowed || !m.dropped {
+		return
+	}
+	for e, s := range m.live {
+		if s.ver <= m.capVer {
+			m.live[e] = m.dropTop
+		}
+	}
+	m.dropped, m.dropTop = false, modelStamp{}
+}
+
+// retire mirrors SetWindow(p) and then Retire at now, the pair every script
+// runs: version and wall age first, then MaxEdges drops whole versions
+// oldest-first and trims the boundary version's canonically smallest edges
+// so the survivors land exactly on the cap.
 func (m *stampModel) retire(p WindowPolicy, now int64) {
+	m.setWindow(p)
 	var dead []bipartite.Edge
 	byVer := map[uint64][]bipartite.Edge{}
 	for e, s := range m.live {
@@ -182,15 +227,22 @@ func (m *stampModel) retire(p WindowPolicy, now int64) {
 	m.remove(dead)
 }
 
+// restore mirrors RestoreAt into a new, unwindowed graph: every edge is
+// stamped at the snapshot and is in the base alone.
 func (m *stampModel) restore(ver uint64, wall int64) {
 	m.lastIngest = ver
 	for e := range m.live {
 		m.live[e] = modelStamp{ver, wall}
 	}
+	m.windowed, m.captured, m.capVer = false, true, ver
+	m.dropped, m.dropTop = true, modelStamp{ver, wall}
 }
 
+// csr returns the bytes the stream's snapshot must equal. Every caller has
+// just snapshotted the stream, so csr is also the model's capture.
 func (m *stampModel) csr(t *testing.T) []byte {
 	t.Helper()
+	m.capture()
 	edges := make([]bipartite.Edge, 0, len(m.live))
 	for e := range m.live {
 		edges = append(edges, e)
@@ -362,10 +414,12 @@ func (c *byteChoices) Intn(n int) int {
 
 // runSparseScript plays a capture-sparse script drawn from ch: appends of
 // random edges, re-adds of edges removed or retired earlier, removes,
-// retires, captures and restores. Every append's Added and Duplicates must
-// equal the model's counts, and every step's version and size must match;
-// snapshot bytes are compared only at the capture and restore steps and at
-// the end.
+// retires, captures and restores, plus two steps on a graph without a window,
+// whose captures drop the shard logs: removes of edges only the captured
+// base holds, and installing a window after a capture, which refills the
+// logs from the base. Every append's Added and Duplicates must equal the
+// model's counts, and every step's version and size must match; snapshot
+// bytes are compared only at the capture and restore steps and at the end.
 func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 	t.Helper()
 	users, merchants := sc.users, sc.merchants
@@ -432,11 +486,33 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 			t.Fatalf("%s: snapshot at version %d diverges from the model at %d", where(step, op), v, m.ver)
 		}
 	}
+	randomWindow := func() WindowPolicy {
+		var p WindowPolicy
+		for !p.Enabled() {
+			if ch.Intn(2) == 0 {
+				p.MaxVersions = uint64(1 + ch.Intn(25))
+			}
+			if ch.Intn(2) == 0 {
+				p.MaxEdges = 1 + ch.Intn(users*merchants/4)
+			}
+			if ch.Intn(2) == 0 {
+				p.MaxAge = time.Duration(5+ch.Intn(60)) * time.Second
+			}
+		}
+		return p
+	}
+	// unwindowedCapture removes the window and captures, which drops the
+	// shard logs: every live edge is then in the captured base alone.
+	unwindowedCapture := func(step int, op string) {
+		g.SetWindow(WindowPolicy{})
+		m.setWindow(WindowPolicy{})
+		capture(step, op)
+	}
 
 	for step := 0; step < sc.steps; step++ {
 		clock = clock.Add(time.Duration(ch.Intn(4000)) * time.Millisecond)
 		var op string
-		switch r := ch.Intn(20); {
+		switch r := ch.Intn(22); {
 		case r < 9:
 			op = "append"
 			batch := make([]bipartite.Edge, 1+ch.Intn(sc.maxBatch))
@@ -459,18 +535,7 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 			})
 		case r < 16:
 			op = "retire"
-			var p WindowPolicy
-			for !p.Enabled() {
-				if ch.Intn(2) == 0 {
-					p.MaxVersions = uint64(1 + ch.Intn(25))
-				}
-				if ch.Intn(2) == 0 {
-					p.MaxEdges = 1 + ch.Intn(users*merchants/4)
-				}
-				if ch.Intn(2) == 0 {
-					p.MaxAge = time.Duration(5+ch.Intn(60)) * time.Second
-				}
-			}
+			p := randomWindow()
 			removing(func() {
 				g.SetWindow(p)
 				g.Retire(clock)
@@ -479,6 +544,31 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 		case r < 19:
 			op = "capture"
 			capture(step, op)
+		case r == 19:
+			op = "remove-base"
+			unwindowedCapture(step, op)
+			var base []bipartite.Edge
+			for _, e := range grid {
+				if s, live := m.live[e]; live && s.ver <= m.capVer {
+					base = append(base, e)
+				}
+			}
+			dead := append(pick(base, 1+ch.Intn(16)), randomEdge())
+			removing(func() {
+				g.Remove(dead)
+				m.remove(dead)
+			})
+		case r == 20:
+			op = "refill"
+			unwindowedCapture(step, op)
+			batch := make([]bipartite.Edge, ch.Intn(8))
+			for i := range batch {
+				batch[i] = randomEdge()
+			}
+			appendChecked(step, op, batch)
+			p := randomWindow()
+			g.SetWindow(p)
+			m.setWindow(p)
 		default:
 			op = "restore"
 			snap, v, mark := g.SnapshotWithMark()
@@ -527,34 +617,80 @@ func heapInUse() uint64 {
 	return ms.HeapAlloc
 }
 
-// BenchmarkStreamResidentBytes reports the graph's resident bytes per live
-// edge — dedup sets, edge log and stamps — once 1<<20 fresh edges have gone
-// in, by batch size and shard count. Batch 1 is the stamp table's worst
-// case, one row per edge. The captured cases snapshot at 3/4 of the edges
-// and then append the rest: the snapshot's CSR counts, and the shard dedup
-// sets hold only the last quarter. The touched-node history is switched
-// off: it is bounded by its node budget, not by the live edge count. Run
-// with -benchtime=1x; the numbers are memory metrics, not timings.
-func BenchmarkStreamResidentBytes(b *testing.B) {
-	const n = 1 << 20
-	edges := make([]bipartite.Edge, n)
+// residentEdges are the 1<<20 distinct edges the resident-bytes readings
+// append: 16 merchants per user, spread over 61 K merchant ids.
+func residentEdges() []bipartite.Edge {
+	edges := make([]bipartite.Edge, 1<<20)
 	for i := range edges {
 		edges[i] = bipartite.Edge{U: uint32(i >> 4), V: uint32(i&15) * 4099}
 	}
+	return edges
+}
+
+// residentBytes appends edges to a fresh graph in batches, snapshotting once
+// captureAt edges are in (never if negative), with the touched-node history
+// off: it is bounded by its node budget, not by the live edge count. It
+// returns the graph's resident bytes per live edge — dedup sets, edge log,
+// stamps and the snapshot's CSR — and the graph.
+func residentBytes(edges []bipartite.Edge, batch, shards, captureAt int, w WindowPolicy) (float64, *Graph) {
+	base := heapInUse()
+	g := NewSharded(shards)
+	g.SetDeltaHistoryLimit(0)
+	g.SetWindow(w)
+	for off := 0; off < len(edges); off += batch {
+		if off == captureAt {
+			g.Snapshot()
+		}
+		g.Append(edges[off : off+batch])
+	}
+	return float64(heapInUse()-base) / float64(len(edges)), g
+}
+
+// TestCapturedStreamHoldsOneCopy pins that an unwindowed stream keeps the
+// edges a capture absorbed once, in the captured CSR, and not again in its
+// shard logs: 1<<20 edges captured at 3/4 stay under 15 resident bytes per
+// live edge (the log held a second copy at 19). A windowed stream ages edges
+// by their log stamps, so its twin keeps every live edge in the log.
+func TestCapturedStreamHoldsOneCopy(t *testing.T) {
+	edges := residentEdges()
+	logged := func(g *Graph) int {
+		n := 0
+		for i := range g.shards {
+			n += len(g.shards[i].entries)
+		}
+		return n
+	}
+	for _, shards := range []int{1, 2} {
+		perEdge, g := residentBytes(edges, 128, shards, 3*len(edges)/4, WindowPolicy{})
+		if perEdge >= 15 {
+			t.Errorf("shards=%d: %.2f resident bytes per live edge after a capture, want < 15", shards, perEdge)
+		}
+		if n := logged(g); n != len(edges)/4 {
+			t.Errorf("shards=%d: the logs hold %d edges, want the %d appended since the capture", shards, n, len(edges)/4)
+		}
+		t.Logf("shards=%d: %.2f bytes per live edge", shards, perEdge)
+	}
+	perEdge, g := residentBytes(edges, 128, 2, 3*len(edges)/4, WindowPolicy{MaxEdges: len(edges)})
+	if n := logged(g); n != len(edges) {
+		t.Errorf("windowed: the logs hold %d edges, want all %d", n, len(edges))
+	}
+	t.Logf("windowed, shards=2: %.2f bytes per live edge", perEdge)
+}
+
+// BenchmarkStreamResidentBytes reports the graph's resident bytes per live
+// edge once 1<<20 fresh edges have gone in, by batch size and shard count
+// (see residentBytes). Batch 1 is the stamp table's worst case, one row per
+// edge. The captured cases snapshot at 3/4 of the edges and then append the
+// rest: the snapshot's CSR counts, and the shard logs and dedup sets hold
+// only the last quarter. Run with -benchtime=1x; the numbers are memory
+// metrics, not timings.
+func BenchmarkStreamResidentBytes(b *testing.B) {
+	edges := residentEdges()
 	run := func(name string, batch, shards, captureAt int) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				base := heapInUse()
-				g := NewSharded(shards)
-				g.SetDeltaHistoryLimit(0)
-				for off := 0; off < n; off += batch {
-					if off == captureAt {
-						g.Snapshot()
-					}
-					g.Append(edges[off : off+batch])
-				}
-				bytes := float64(heapInUse() - base)
-				b.ReportMetric(bytes/n, "B/edge")
+				perEdge, g := residentBytes(edges, batch, shards, captureAt, WindowPolicy{})
+				b.ReportMetric(perEdge, "B/edge")
 				runtime.KeepAlive(g)
 			}
 		})
@@ -565,7 +701,7 @@ func BenchmarkStreamResidentBytes(b *testing.B) {
 		}
 	}
 	for _, shards := range []int{1, 2} {
-		run(fmt.Sprintf("captured/batch=128/shards=%d", shards), 128, shards, 3*n/4)
+		run(fmt.Sprintf("captured/batch=128/shards=%d", shards), 128, shards, 3*len(edges)/4)
 	}
 }
 
@@ -605,6 +741,71 @@ func BenchmarkAppendAfterCapture(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fresh), "ns/edge")
+		})
+	}
+}
+
+// BenchmarkCaptureBuild times the two ways a capture can build its CSR from
+// the previous one when the logs below the marks are gone: merge the delta
+// into it (ExtendDelta, the stream's one path after its first capture), or
+// expand it back to an edge list, apply the delta, and sort the lot from
+// scratch (Rebuild). The previous CSR holds 1<<20 edges; churn is the delta's
+// size against it, half fresh inserts and half deletes of present edges.
+func BenchmarkCaptureBuild(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	old := make([]bipartite.Edge, n)
+	for i := range old {
+		old[i] = bipartite.Edge{U: uint32(rng.Intn(n >> 4)), V: uint32(rng.Intn(n >> 5))}
+	}
+	prev, err := bipartite.FromEdges(n>>4, n>>5, old)
+	if err != nil {
+		b.Fatal(err)
+	}
+	present := prev.EdgeList()
+	cmp := func(a, b bipartite.Edge) int {
+		if a.U != b.U {
+			return int(a.U) - int(b.U)
+		}
+		return int(a.V) - int(b.V)
+	}
+	for _, churn := range []int{25, 50, 100} {
+		half := n * churn / 200
+		ins := make([]bipartite.Edge, half)
+		for i := range ins {
+			// Merchant ids past prev's: every insert is fresh.
+			ins[i] = bipartite.Edge{U: uint32(rng.Intn(n >> 4)), V: n>>5 + uint32(rng.Intn(n>>5))}
+		}
+		dels := make([]bipartite.Edge, half)
+		for i, j := range rng.Perm(len(present))[:half] {
+			dels[i] = present[j]
+		}
+		b.Run(fmt.Sprintf("churn=%d%%/merge", churn), func(b *testing.B) {
+			x := bipartite.NewExtendBuilder()
+			for i := 0; i < b.N; i++ {
+				x.ExtendDelta(prev, ins, dels, 0, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("churn=%d%%/rebuild", churn), func(b *testing.B) {
+			x := bipartite.NewExtendBuilder()
+			sorted := make([]bipartite.Edge, len(dels))
+			for i := 0; i < b.N; i++ {
+				copy(sorted, dels)
+				slices.SortFunc(sorted, cmp)
+				all := make([]bipartite.Edge, 0, prev.NumEdges()+len(ins))
+				d := 0
+				prev.Edges(func(e bipartite.Edge) bool {
+					for d < len(sorted) && cmp(sorted[d], e) < 0 {
+						d++
+					}
+					if d < len(sorted) && sorted[d] == e {
+						return true
+					}
+					all = append(all, e)
+					return true
+				})
+				x.Rebuild(0, 0, append(all, ins...))
+			}
 		})
 	}
 }

@@ -5,8 +5,10 @@
 //
 // The paper's ensemble (and every algorithm in this repository) works on an
 // immutable dual-CSR Graph. A production ingest path cannot rebuild that CSR
-// per purchase, so Graph keeps the live state as a deduplicated edge log and
-// materializes CSR snapshots lazily, caching one snapshot per version.
+// per purchase, so Graph keeps the edges since the last snapshot as a
+// deduplicated edge log, materializes CSR snapshots lazily, caching one
+// snapshot per version, and keeps the edges a snapshot absorbed in that
+// snapshot's CSR alone.
 //
 // # Sharded ingest
 //
@@ -27,24 +29,32 @@
 // # Incremental snapshots with deletions
 //
 // Each shard remembers how much of its log the latest captured snapshot has
-// seen (a per-shard baseline mark), and retire passes collect the edges they
-// remove from below those marks into a pending-deletes list. A snapshot
-// capture therefore yields exactly the delta since the previous snapshot —
-// the inserted suffix of every shard log plus the pending deletes — and
-// hands both to bipartite.ExtendBuilder.ExtendDelta, which merges them into
-// the previous CSR instead of re-sorting the whole log. A full rebuild runs
-// only when the combined insert+delete churn is a large fraction of the
-// graph (or there is no previous snapshot). Shard logs are append-only
-// between retire passes, and retire rewrites survivors into fresh backing
-// arrays, so captured log views stay immutable while producers keep
-// appending behind them. The built snapshot is published through an atomic
-// pointer under the single-flight build lock, so a slow store can never
-// stall ingest.
+// seen (a per-shard baseline mark), and removals collect the edges they take
+// from below those marks into a pending-deletes list. A snapshot capture
+// therefore yields exactly the delta since the previous snapshot — the
+// inserted suffix of every shard log plus the pending deletes — and hands
+// both to bipartite.ExtendBuilder.ExtendDelta, which merges them into the
+// previous CSR. Only the first capture, with no previous CSR to merge into,
+// sorts its edges from scratch. Shard logs are append-only between removals,
+// and removals rewrite survivors into fresh backing arrays, so captured log
+// views stay immutable while producers keep appending behind them. The built
+// snapshot is published through an atomic pointer under the single-flight
+// build lock, so a slow store can never stall ingest.
+//
+// # One resident copy
+//
+// Without a window policy nothing reads a log entry once a capture has
+// absorbed it, so a capture drops every shard's log: each shard starts an
+// empty log at a zero mark, and the captured views keep the old arrays only
+// until the build is done with them. The edges below the marks then live
+// only in the base (below), which is what Remove deletes them from. A window
+// needs every live edge's stamp in append order, so a windowed capture keeps
+// the whole log, and installing a window on a graph whose log was dropped
+// refills the log from the base (SetWindow).
 //
 // # Deduplication against the captured snapshot
 //
-// The graph keeps one resident copy of the edges a capture absorbed: the CSR
-// it builds. Dedup asks that CSR (a binary search in the user's row) and two
+// Dedup asks the captured CSR (a binary search in the user's row) and two
 // small per-shard sets, which only hold what changed since the capture: an
 // edge is live iff it is in its shard's pending set (appended at or past the
 // shard's baseline mark), or it is in the base and not in its shard's
@@ -82,20 +92,6 @@ func DefaultShards() int {
 // MaxShards bounds the shard count. Shards beyond the core count only add
 // scan overhead to batched appends, and captures walk every shard.
 const MaxShards = 64
-
-// deltaRebuildDenominator sets the incremental-build threshold: a snapshot
-// uses the delta path while (|inserts| + |deletes|) · denominator ≤ |E_prev|,
-// i.e. combined churn up to 25% of the previous snapshot. Past that, merging
-// approaches the cost of the full counting-sort rebuild and loses to its
-// better locality. Deletes count toward the churn: every deleted edge makes
-// the merge visit (and the merchant side re-derive) an affected row, exactly
-// like an insert does.
-const deltaRebuildDenominator = 4
-
-// fullBuildKeepCap is the largest concat-scratch capacity (in edges) kept
-// after a full rebuild; larger buffers are released so one big build does
-// not pin O(|E|) scratch on a graph that thereafter only does delta builds.
-const fullBuildKeepCap = 1 << 16
 
 // stampRun is one row of a shard's run table: the entries from the previous
 // row's end up to end were appended by one batch, which committed as version
@@ -150,11 +146,21 @@ type Graph struct {
 	numUsers     atomic.Int64
 	numMerchants atomic.Int64
 
-	// pendingDel accumulates edges that retire passes removed from below the
-	// shards' baseline marks — edges the previous snapshot still contains.
-	// The next capture consumes it as the delete half of the delta. Guarded
-	// by commitMu's write half (retire and capture both hold it).
+	// pendingDel accumulates edges that retire passes and Remove took from
+	// below the shards' baseline marks — edges the previous snapshot still
+	// contains. The next capture consumes it as the delete half of the delta.
+	// Guarded by commitMu's write half (removals and captures all hold it).
 	pendingDel []bipartite.Edge
+
+	// baseOnly reports that the edges below the shard marks are in the base
+	// alone: a capture with no window policy dropped them from the logs, or
+	// RestoreAt seeded an unwindowed graph. Their stamp rows went with them;
+	// baseVer and baseAt keep the newest stamp among the dropped rows, which
+	// a refill (SetWindow) stamps the whole base with. All three are guarded
+	// by commitMu's write half.
+	baseOnly bool
+	baseVer  uint64
+	baseAt   int64
 
 	// Window state: the active policy and the expiry watermark (no live edge
 	// carries a stamp at or below the mark). See window.go.
@@ -181,7 +187,7 @@ type Graph struct {
 	ext      *bipartite.ExtendBuilder // build arena, guarded by buildMu
 	logRefs  [][]bipartite.Edge       // capture scratch, guarded by buildMu
 	insStart []int                    // capture scratch: per-shard baseline marks
-	edgeBuf  []bipartite.Edge         // delta/full concat scratch, guarded by buildMu
+	edgeBuf  []bipartite.Edge         // insert concat scratch, guarded by buildMu
 
 	deltaBuilds  atomic.Uint64
 	fullBuilds   atomic.Uint64
@@ -211,18 +217,23 @@ type shard struct {
 	// half moves them into the base at a capture.
 	pending u64set.Set
 	removed u64set.Set
-	// entries is the live log in append order. Appends only ever append;
-	// retire passes rewrite survivors into a fresh backing array (preserving
-	// order), so a captured view of the old array stays immutable.
+	// entries is the log in append order: every live edge of the shard on a
+	// windowed graph, only those appended since the last capture otherwise.
+	// Appends only ever append; removals rewrite survivors into a fresh
+	// backing array (preserving order), and a capture that drops the log
+	// starts a new one, so a captured view of the old array stays immutable.
 	entries []bipartite.Edge
 	// runs stamps entries: one row per (batch, shard), sorted by end, the
 	// last row ending at len(entries). See stampRun.
 	runs []stampRun
 	// snapMark is the baseline boundary: entries below it are contained in
 	// the latest captured snapshot, entries at or past it are the pending
-	// insert delta. Written by captures and retires (commitMu write half).
+	// insert delta. Written by captures, removals and refills (commitMu write
+	// half).
 	snapMark int
-	_        [64]byte
+	// live counts the shard's live edges, in the log or in the base alone.
+	live int
+	_    [64]byte
 }
 
 // edgeBase is an immutable edge set: the one below the shards' baseline
@@ -344,20 +355,22 @@ func (g *Graph) SetJournal(j Journal) {
 }
 
 // RestoreAt seeds an empty dynamic graph from a recovered snapshot, adopting
-// its version and window watermark. The shard logs are filled straight from
-// the snapshot's user rows. The snapshot is also pre-published as the
+// its version and window watermark. The snapshot is pre-published as the
 // graph's cached CSR snapshot and becomes the dedup base, so the first
 // post-boot Snapshot — and every delta build after it — starts from the
 // recovered arrays instead of rebuilding O(|E|) state, and the shard dedup
-// sets start empty.
+// sets start empty. Without a window policy that is all: the edges live in
+// the base alone, as after any capture, and the shard logs start empty.
 //
+// A windowed graph also fills its shard logs from the snapshot's user rows.
 // Restored edges share one stamp row: the snapshot's version and wall (the
 // time the snapshot was written; 0 falls back to now): their original
 // per-batch stamps are not persisted, so for windowing purposes the whole
 // recovered set is treated as ingested when the snapshot was cut. The window
 // therefore never expires a recovered edge earlier than the live run would
 // have — it can only retain it a little longer, and steady-state traffic
-// re-converges the stamps.
+// re-converges the stamps. A window installed later stamps the restored
+// edges the same way (see SetWindow).
 //
 // RestoreAt must run before any Append and before SetJournal; snap must be a
 // canonical CSR (one produced by this package's Snapshot or the bipartite
@@ -380,37 +393,64 @@ func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
 	nu := snap.NumUsers()
-	perShard := make([]int, len(g.shards))
 	for u := 0; u < nu; u++ {
-		perShard[uint32(u)&g.mask] += snap.UserDegree(uint32(u))
-	}
-	for i, n := range perShard {
-		g.shards[i].entries = make([]bipartite.Edge, 0, n)
-	}
-	for u := 0; u < nu; u++ {
-		sh := &g.shards[uint32(u)&g.mask]
-		for _, v := range snap.UserNeighbors(uint32(u)) {
-			sh.entries = append(sh.entries, bipartite.Edge{U: uint32(u), V: v})
-		}
-	}
-	for i := range g.shards {
-		sh := &g.shards[i]
-		if len(sh.entries) > 0 {
-			sh.runs = append(sh.runs, stampRun{end: len(sh.entries), ver: version, at: wall})
-		}
-		sh.snapMark = len(sh.entries)
+		g.shards[uint32(u)&g.mask].live += snap.UserDegree(uint32(u))
 	}
 	g.numEdges.Store(int64(snap.NumEdges()))
 	atomicMax(&g.numUsers, int64(nu))
 	atomicMax(&g.numMerchants, int64(snap.NumMerchants()))
 	g.base.Store(&edgeBase{csr: snap})
 	g.snap.Store(&snapshot{g: snap, version: version, mark: mark})
+	g.baseOnly, g.baseVer, g.baseAt = true, version, wall
+	if g.window.Load() != nil {
+		g.refillLocked(snap)
+	}
 	g.version.Store(version)
 	g.lastIngest.Store(version)
 	// The adopted version starts a fresh history: nothing below it is
 	// answerable as a delta.
 	g.histReset(version)
 	return nil
+}
+
+// refillLocked puts the base's edges, csr less the shard removed sets, back
+// into the shard logs below their marks, ahead of the entries appended since
+// the capture. Their own stamp rows were dropped, so each shard gets one row
+// at the newest dropped stamp (baseVer, baseAt): the window never expires a
+// refilled edge earlier than its own stamp would have. Requires the commit
+// write lock, and csr must be the base's published CSR.
+func (g *Graph) refillLocked(csr *bipartite.Graph) {
+	logs := make([][]bipartite.Edge, len(g.shards))
+	for i := range g.shards {
+		logs[i] = make([]bipartite.Edge, 0, g.shards[i].live)
+	}
+	for u := 0; u < csr.NumUsers(); u++ {
+		si := uint32(u) & g.mask
+		for _, v := range csr.UserNeighbors(uint32(u)) {
+			e := bipartite.Edge{U: uint32(u), V: v}
+			if !g.shards[si].removed.Has(edgeKey(e)) {
+				logs[si] = append(logs[si], e)
+			}
+		}
+	}
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.Lock()
+		mark := len(logs[i])
+		runs := make([]stampRun, 0, len(sh.runs)+1)
+		if mark > 0 {
+			runs = append(runs, stampRun{end: mark, ver: g.baseVer, at: g.baseAt})
+		}
+		for _, r := range sh.runs {
+			r.end += mark
+			runs = append(runs, r)
+		}
+		sh.entries = append(logs[i], sh.entries...)
+		sh.runs = runs
+		sh.snapMark = mark
+		sh.mu.Unlock()
+	}
+	g.baseOnly, g.baseVer, g.baseAt = false, 0, 0
 }
 
 // Append records a batch of purchase edges, deduplicating against everything
@@ -535,6 +575,7 @@ func (s *shard) appendRun(si int, base *edgeBase, run []bipartite.Edge, dups *in
 	if added == 0 {
 		return 0, 0
 	}
+	s.live += added
 	s.runs = append(s.runs, stampRun{end: len(s.entries)})
 	return len(s.runs) - 1, added
 }
@@ -681,7 +722,7 @@ func (g *Graph) Stats() Stats {
 	}
 }
 
-// ShardSize reports one shard's log size.
+// ShardSize reports one shard's live edge count.
 type ShardSize struct {
 	Shard    int `json:"shard"`
 	NumEdges int `json:"num_edges"`
@@ -693,7 +734,7 @@ func (g *Graph) ShardSizes() []ShardSize {
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.mu.Lock()
-		out[i] = ShardSize{Shard: i, NumEdges: len(s.entries)}
+		out[i] = ShardSize{Shard: i, NumEdges: s.live}
 		s.mu.Unlock()
 	}
 	return out
@@ -764,21 +805,23 @@ func (g *Graph) snapshotInternal() *snapshot {
 // log with the baseline mark it had before the capture, and the deletes
 // since the previous capture.
 type cut struct {
-	version       uint64
-	nu, nm        int
-	mark          WindowMark
-	logs          [][]bipartite.Edge
-	insStart      []int
-	total, insLen int
-	dels          []bipartite.Edge
+	version  uint64
+	nu, nm   int
+	mark     WindowMark
+	logs     [][]bipartite.Edge
+	insStart []int
+	insLen   int
+	dels     []bipartite.Edge
 }
 
 // captureLocked takes a consistent cut. It is also the baseline advance —
 // each shard's snapMark moves to its log end, the delete list is taken, and
 // the shard dedup sets move into the interim base — because the build that
 // follows always completes and publishes, making this cut the next delta's
-// starting point. Logs are append-only between retire passes (and retire
-// rewrites into fresh arrays), so the captured views stay immutable after
+// starting point. With no window policy the capture also drops the logs:
+// every entry is now below the mark and in the base, so each shard starts an
+// empty log at mark 0. Logs are append-only between removals (and removals
+// rewrite into fresh arrays), so the captured views stay immutable after
 // release and the hold time is O(shards), not O(edges) — ingest stalls for
 // the capture, never for the build. Requires buildMu and the commit write
 // lock; prev is the published snapshot the build will extend.
@@ -795,61 +838,64 @@ func (g *Graph) captureLocked(prev *snapshot) cut {
 	if prev != nil {
 		interim.csr = prev.g
 	}
+	drop := g.window.Load() == nil
 	for i := range g.shards {
 		sh := &g.shards[i]
 		c.logs[i] = sh.entries
 		c.insStart[i] = sh.snapMark
-		c.total += len(sh.entries)
 		c.insLen += len(sh.entries) - sh.snapMark
-		sh.snapMark = len(sh.entries)
+		if drop {
+			for _, r := range sh.runs {
+				g.baseVer = max(g.baseVer, r.ver)
+				g.baseAt = max(g.baseAt, r.at)
+			}
+			sh.entries, sh.runs, sh.snapMark = nil, nil, 0
+		} else {
+			sh.snapMark = len(sh.entries)
+		}
 		// Fresh zero-value sets regrow from the minimum table: a cleared
 		// table would keep its high-water capacity.
 		interim.pending[i], sh.pending = sh.pending, u64set.Set{}
 		interim.removed[i], sh.removed = sh.removed, u64set.Set{}
 	}
+	g.baseOnly = g.baseOnly || drop
 	g.base.Store(interim)
 	c.dels = g.pendingDel
 	g.pendingDel = nil
 	return c
 }
 
-// buildLocked builds the CSR of cut c: merged from prev and the delta when
-// the churn is small, rebuilt from every log otherwise. Requires buildMu,
+// buildLocked builds the CSR of cut c: merged from prev and the delta, or,
+// for the first capture, sorted from the inserts alone. Requires buildMu,
 // which guards the build scratch.
 func (g *Graph) buildLocked(prev *snapshot, c cut) *bipartite.Graph {
 	defer clear(c.logs) // do not pin shard log arrays beyond the build
-	churn := c.insLen + len(c.dels)
 	//ensemfdet:nondeterministic-ok build timing feeds the *BuildNs metrics, never the built graph
 	start := time.Now()
-	if prev != nil && churn*deltaRebuildDenominator <= prev.g.NumEdges() {
-		ins := scratch.Grow(&g.edgeBuf, c.insLen)[:0]
-		for i, log := range c.logs {
-			ins = append(ins, log[c.insStart[i]:]...)
-		}
-		g.edgeBuf = ins
-		built := g.ext.ExtendDelta(prev.g, ins, c.dels, c.nu, c.nm)
-		g.deltaBuilds.Add(1)
-		//ensemfdet:nondeterministic-ok metrics-only duration
-		g.deltaBuildNs.Add(int64(time.Since(start)))
-		return built
+	ins := scratch.Grow(&g.edgeBuf, c.insLen)[:0]
+	for i, log := range c.logs {
+		ins = append(ins, log[c.insStart[i]:]...)
 	}
-	all := scratch.Grow(&g.edgeBuf, c.total)[:0]
-	for _, log := range c.logs {
-		all = append(all, log...)
-	}
-	g.edgeBuf = all
-	built := g.ext.Rebuild(c.nu, c.nm, all)
-	g.fullBuilds.Add(1)
-	//ensemfdet:nondeterministic-ok metrics-only duration
-	g.fullBuildNs.Add(int64(time.Since(start)))
-	// A full rebuild grew the concat scratch to O(|E|); steady-state traffic
-	// then takes only the delta path, which needs a fraction of that.
-	// Release oversized buffers rather than pinning |E| edges of scratch for
-	// the graph's lifetime — the next full build (rare by design) just
-	// re-allocates.
-	if cap(g.edgeBuf) > fullBuildKeepCap {
+	// A large delta grows the concat scratch to its size; steady-state
+	// captures need a fraction of that. Release oversized buffers rather
+	// than pinning them for the graph's lifetime.
+	g.edgeBuf = ins
+	if cap(ins) > bipartite.MaxKeptScratch {
 		g.edgeBuf = nil
 	}
+	if prev == nil {
+		// No deletes yet: they come from below a mark, which only a capture
+		// sets.
+		built := g.ext.Rebuild(c.nu, c.nm, ins)
+		g.fullBuilds.Add(1)
+		//ensemfdet:nondeterministic-ok metrics-only duration
+		g.fullBuildNs.Add(int64(time.Since(start)))
+		return built
+	}
+	built := g.ext.ExtendDelta(prev.g, ins, c.dels, c.nu, c.nm)
+	g.deltaBuilds.Add(1)
+	//ensemfdet:nondeterministic-ok metrics-only duration
+	g.deltaBuildNs.Add(int64(time.Since(start)))
 	return built
 }
 

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"ensemfdet/internal/bipartite"
 )
@@ -160,37 +162,92 @@ func TestSnapshotDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestDeltaVersusFullBuildSelection checks the rebuild threshold: small
-// post-snapshot batches extend incrementally, a huge one falls back to a
-// full rebuild.
-func TestDeltaVersusFullBuildSelection(t *testing.T) {
+// TestBuildsExtendAfterFirstCapture checks that the first snapshot is the
+// only full build: later ones merge into the previous CSR whatever their
+// churn, up to replacing every edge, and equal a build from scratch.
+func TestBuildsExtendAfterFirstCapture(t *testing.T) {
 	g := NewSharded(4)
-	g.Append(randomEdges(5, 8000, 500, 500))
+	first := randomEdges(5, 8000, 500, 500)
+	g.Append(first)
 	g.Snapshot()
-	before := g.BuildStats()
-	if before.FullBuilds != 1 || before.DeltaBuilds != 0 {
-		t.Fatalf("first snapshot: %+v, want exactly one full build", before)
+	if bs := g.BuildStats(); bs.FullBuilds != 1 || bs.DeltaBuilds != 0 {
+		t.Fatalf("first snapshot: %+v, want exactly one full build", bs)
 	}
 
-	// A tiny delta must extend.
 	g.AppendEdge(600, 600)
 	g.Snapshot()
-	if bs := g.BuildStats(); bs.DeltaBuilds != 1 {
+	if bs := g.BuildStats(); bs.FullBuilds != 1 || bs.DeltaBuilds != 1 {
 		t.Fatalf("small delta: %+v, want one delta build", bs)
 	}
 
-	// A delta larger than 1/4 of the snapshot must trigger a full rebuild.
-	big := make([]bipartite.Edge, 0, 4000)
-	for i := 0; i < 4000; i++ {
-		big = append(big, bipartite.Edge{U: uint32(1000 + i), V: uint32(1000 + i)})
+	// More churn than the graph has edges: every earlier edge goes, 8000
+	// fresh ones come in.
+	g.Remove(append(first, bipartite.Edge{U: 600, V: 600}))
+	fresh := make([]bipartite.Edge, 0, 8000)
+	for i := 0; i < 8000; i++ {
+		fresh = append(fresh, bipartite.Edge{U: uint32(1000 + i), V: uint32(i % 700)})
 	}
-	g.Append(big)
+	g.Append(fresh)
 	s, _ := g.Snapshot()
-	if bs := g.BuildStats(); bs.FullBuilds != 2 {
-		t.Fatalf("large delta: %+v, want a second full build", bs)
+	if bs := g.BuildStats(); bs.FullBuilds != 1 || bs.DeltaBuilds != 2 {
+		t.Fatalf("large delta: %+v, want a second delta build", bs)
 	}
-	if err := s.Validate(); err != nil {
+	want, err := bipartite.FromEdges(s.NumUsers(), s.NumMerchants(), fresh)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(csrBytes(t, s), csrBytes(t, want)) {
+		t.Fatal("merged snapshot differs from a build of the same edges")
+	}
+}
+
+// TestShardSizesSumToLiveEdges checks that the per-shard sizes /v1/stats
+// reports add up to the live edge count through every kind of change,
+// including captures that drop the shard logs and removes of edges only the
+// captured base holds.
+func TestShardSizesSumToLiveEdges(t *testing.T) {
+	for _, shards := range []int{1, 2, 8} {
+		g := NewSharded(shards)
+		check := func(op string) {
+			t.Helper()
+			sum := 0
+			for _, sz := range g.ShardSizes() {
+				sum += sz.NumEdges
+			}
+			if n := g.Stats().NumEdges; sum != n || n == 0 {
+				t.Fatalf("shards=%d after %s: shard sizes sum to %d, stats %d", shards, op, sum, n)
+			}
+		}
+		first := randomEdges(1, 500, 60, 50)
+		g.Append(first)
+		check("append")
+		g.Snapshot()
+		check("capture")
+		more := randomEdges(2, 200, 60, 50)
+		g.Append(more)
+		check("append after a capture")
+		g.Remove(more[:20])
+		check("remove above the mark")
+		g.Remove(first[:40])
+		check("remove below the mark")
+		g.Snapshot()
+		check("second capture")
+		g.SetWindow(WindowPolicy{MaxEdges: 300})
+		check("window refill")
+		g.Append(randomEdges(3, 100, 60, 50))
+		if res := g.Retire(time.Now()); res.Removed == 0 {
+			t.Fatalf("shards=%d: the retire removed nothing", shards)
+		}
+		check("retire")
+
+		snap, v, mark := g.SnapshotWithMark()
+		g = NewSharded(shards)
+		if err := g.RestoreAt(snap, v, mark, 0); err != nil {
+			t.Fatal(err)
+		}
+		check("restore")
+		g.Remove(snap.EdgeList()[:30])
+		check("remove from the restored base")
 	}
 }
 

@@ -78,12 +78,31 @@ type RetireResult struct {
 // SetWindow installs (or, with a zero policy, removes) the sliding-window
 // policy. The policy only takes effect at Retire calls; installing it never
 // retires anything by itself.
+//
+// A window ages edges by the stamp rows of the shard logs, which a capture
+// without a policy drops along with the entries they stamp. Installing a
+// window on such a graph refills the logs from the base, every refilled
+// edge of a shard sharing one stamp row: the newest stamp among the dropped
+// rows, or the snapshot's stamp for edges RestoreAt seeded. This is the
+// RestoreAt rule: a refilled edge can outlive its own stamp, by at most the
+// gap between its batch and the newest one dropped, but never expires
+// earlier. Install the window before the first capture (the daemon does, at
+// boot) and every stamp stays exact.
 func (g *Graph) SetWindow(p WindowPolicy) {
-	if p.Enabled() {
-		g.window.Store(&p)
-	} else {
+	// The refill reads the published base, which only buildMu keeps from
+	// being an interim one.
+	g.buildMu.Lock()
+	defer g.buildMu.Unlock()
+	g.commitMu.Lock()
+	defer g.commitMu.Unlock()
+	if !p.Enabled() {
 		g.window.Store(nil)
+		return
 	}
+	if g.baseOnly {
+		g.refillLocked(g.base.Load().csr)
+	}
+	g.window.Store(&p)
 }
 
 // Window returns the active window policy (zero when windowing is off).
@@ -105,14 +124,19 @@ func (g *Graph) Window() WindowPolicy {
 // capture can never observe half a retire. Passes are expected to run on a
 // period (the daemon's retire ticker), not per request.
 func (g *Graph) Retire(now time.Time) RetireResult {
-	p := g.window.Load()
-	if p == nil {
+	if g.window.Load() == nil {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
 	}
 	//ensemfdet:nondeterministic-ok retire-pass wall timing feeds retireNs metrics; the cut itself uses the caller-supplied now
 	start := time.Now()
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
+	// Re-read under the lock SetWindow stores under: a policy removed since
+	// the check above may have let a capture drop the logs.
+	p := g.window.Load()
+	if p == nil {
+		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
+	}
 
 	curV := g.version.Load()
 	var verCut uint64
@@ -259,7 +283,9 @@ func (g *Graph) countCutLocked(maxEdges int, verCut uint64, wallCut int64) (uint
 // replay reproduces retirements through it without re-evaluating any policy,
 // and it doubles as an explicit unlearning API (a chargeback, a data-removal
 // request). The window watermark does not move — Remove expresses "these
-// edges", not "everything this old".
+// edges", not "everything this old". It scans the shard logs; an edge only
+// the base holds (no window policy) is answered from the base, so without a
+// window a Remove costs O(edges + log since the last capture).
 func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 	if len(edges) == 0 {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
@@ -274,10 +300,34 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 		_, dead := keys[edgeKey(e)]
 		return dead
 	})
+	if g.baseOnly {
+		removed = g.removeFromBaseLocked(edges, removed)
+	}
 	if len(removed) == 0 {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
 	}
 	return g.commitRemovalLocked(removed)
+}
+
+// removeFromBaseLocked deletes the edges that only the base holds, those
+// below the marks of dropped logs, and appends them to removed. Each joins
+// its shard's removed set and pendingDel, as a retire's deletes from below
+// the mark do. Requires the commit write lock.
+func (g *Graph) removeFromBaseLocked(edges, removed []bipartite.Edge) []bipartite.Edge {
+	base := g.base.Load()
+	for _, e := range edges {
+		si := int(e.U & g.mask)
+		sh := &g.shards[si]
+		k := edgeKey(e)
+		sh.mu.Lock()
+		if base.has(si, e, k) && sh.removed.Add(k) {
+			sh.live--
+			g.pendingDel = append(g.pendingDel, e)
+			removed = append(removed, e)
+		}
+		sh.mu.Unlock()
+	}
+	return removed
 }
 
 // removeMatchingLocked deletes every log entry dead() selects, given the
@@ -337,6 +387,7 @@ func (g *Graph) removeMatchingLocked(dead func(stampRun, bipartite.Edge) bool) [
 		sh.entries = fresh
 		sh.runs = runs
 		sh.snapMark -= belowMark
+		sh.live -= n
 		sh.mu.Unlock()
 	}
 	return removed
