@@ -299,7 +299,7 @@ func BenchmarkStreamSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Bump the version so every iteration rebuilds instead of hitting
 		// the snapshot cache.
-		sg.AppendEdge(uint32(1<<21+i), 0)
+		sg.Append([]ensemfdet.Edge{{U: uint32(1<<21 + i), V: 0}})
 		if snap, _ := sg.Snapshot(); snap.NumEdges() == 0 {
 			b.Fatal("empty snapshot")
 		}

@@ -306,10 +306,10 @@ func NewStreamGraphSharded(shards int) *StreamGraph { return stream.NewSharded(s
 
 // WindowPolicy bounds a StreamGraph's live edge set for unbounded streams:
 // by wall-clock age, by version age, by live edge count, or any combination.
-// Install with StreamGraph.SetWindow; apply with StreamGraph.Retire (the
-// daemon runs a periodic retire ticker via -retire-every). Expired edges
-// are no longer live to dedup, so a re-observed purchase re-ingests with
-// fresh recency.
+// Install with StreamGraph.SetWindow before the first append; apply with
+// StreamGraph.Retire (the daemon runs a periodic retire ticker via
+// -retire-every). Expired edges are no longer live to dedup, so a
+// re-observed purchase re-ingests with fresh recency.
 type WindowPolicy = stream.WindowPolicy
 
 // WindowMark is the expiry watermark: no live edge carries an ingest stamp

@@ -403,11 +403,11 @@ func TestDuplicateOnlyBatchesNotJournaled(t *testing.T) {
 func TestAppendEdgesAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	st, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
-	g.AppendEdge(1, 1)
+	g.Append([]bipartite.Edge{{U: 1, V: 1}})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if res := g.AppendEdge(2, 2); res.Err == nil {
+	if res := g.Append([]bipartite.Edge{{U: 2, V: 2}}); res.Err == nil {
 		t.Fatal("append through a closed store must surface a durability error")
 	}
 }
@@ -496,7 +496,7 @@ func TestReplayPreservesVersionsAcrossHole(t *testing.T) {
 		t.Fatalf("replayed %d records, want 2", rec.ReplayedRecords)
 	}
 	// New ingest continues above the preserved labels.
-	if res := g.AppendEdge(900, 900); res.Version != 4 {
+	if res := g.Append([]bipartite.Edge{{U: 900, V: 900}}); res.Version != 4 {
 		t.Fatalf("post-recovery append got version %d, want 4", res.Version)
 	}
 }

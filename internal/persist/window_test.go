@@ -130,7 +130,7 @@ func TestCrashBetweenRetireJournalAndSnapshot(t *testing.T) {
 	g.SetWindow(stream.WindowPolicy{MaxVersions: 1})
 
 	g.Append([]bipartite.Edge{{U: 0, V: 0}, {U: 1, V: 1}}) // v1
-	g.AppendEdge(2, 2)                                     // v2
+	g.Append([]bipartite.Edge{{U: 2, V: 2}})               // v2
 	res := g.Retire(time.Now())                            // v3: tombstone for v1's edges
 	if res.Removed != 2 || res.Err != nil {
 		t.Fatalf("retire: %+v", res)
@@ -160,7 +160,7 @@ func TestCrashBetweenRetireJournalAndSnapshot(t *testing.T) {
 	if err := st2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	g2.AppendEdge(7, 7)
+	g2.Append([]bipartite.Edge{{U: 7, V: 7}})
 	liveVer2 := g2.Version()
 	liveSnap2, _ := g2.Snapshot()
 
@@ -186,7 +186,7 @@ func TestSnapshotPersistsWindowMark(t *testing.T) {
 	st, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
 	g.SetWindow(stream.WindowPolicy{MaxVersions: 2})
 	for i := 0; i < 6; i++ {
-		g.AppendEdge(uint32(i), uint32(i))
+		g.Append([]bipartite.Edge{{U: uint32(i), V: uint32(i)}})
 	}
 	if res := g.Retire(time.Now()); res.Removed == 0 || res.Err != nil {
 		t.Fatalf("retire: %+v", res)
@@ -275,8 +275,8 @@ func TestRetireJournalFailureDegradesStore(t *testing.T) {
 	dir := t.TempDir()
 	st, g, _ := openDurable(t, dir, 2, Options{Fsync: FsyncAlways})
 	g.SetWindow(stream.WindowPolicy{MaxVersions: 1})
-	g.AppendEdge(0, 0)
-	g.AppendEdge(1, 1)
+	g.Append([]bipartite.Edge{{U: 0, V: 0}})
+	g.Append([]bipartite.Edge{{U: 1, V: 1}})
 
 	// Make the WAL fail by removing write permission on the active segment's
 	// file descriptor path — simpler: close the wal's file via store Close
@@ -291,7 +291,7 @@ func TestRetireJournalFailureDegradesStore(t *testing.T) {
 		t.Fatalf("retire with tainted WAL: %+v, want an error and an in-memory removal", res)
 	}
 	// The store is degraded: the next append is rejected.
-	if res2 := g.AppendEdge(5, 5); res2.Err == nil {
+	if res2 := g.Append([]bipartite.Edge{{U: 5, V: 5}}); res2.Err == nil {
 		t.Fatalf("append after failed retire-journal: %+v, want rejection", res2)
 	}
 	// Wait for the self-heal snapshot the failure kicked (it captures the
@@ -301,7 +301,7 @@ func TestRetireJournalFailureDegradesStore(t *testing.T) {
 	// "succeeds" with the gap still open.
 	deadline := time.Now().Add(5 * time.Second)
 	for i := uint32(6); ; i++ {
-		if res3 := g.AppendEdge(i, i); res3.Err == nil {
+		if res3 := g.Append([]bipartite.Edge{{U: i, V: i}}); res3.Err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -47,7 +47,7 @@ func TestOneEntryPerConfigForNonResumableRuns(t *testing.T) {
 	p := Params{Sampler: "RES", NumSamples: 12, SampleRatio: 0.3, Seed: 7}
 	for i := 0; i < 5; i++ {
 		if i > 0 {
-			g.AppendEdge(uint32(5300+i), 3)
+			g.Append([]bipartite.Edge{{U: uint32(5300 + i), V: 3}})
 		}
 		d, err := e.Detect(ctx, p, 6)
 		if err != nil {
@@ -84,7 +84,7 @@ func (s *scriptedSource) Snapshot() (*bipartite.Graph, uint64) {
 func TestStaleRunDoesNotReplaceNewerEntry(t *testing.T) {
 	g := seedStream(t)
 	s1, v1 := g.Snapshot()
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 	s2, v2 := g.Snapshot()
 	src := &scriptedSource{Graph: g,
 		snaps: []*bipartite.Graph{s2, s1, s2}, vers: []uint64{v2, v1, v2}}
@@ -157,7 +157,7 @@ func TestInFlightRunSurvivesEviction(t *testing.T) {
 	if _, err := e.Votes(ctx, a); err != nil {
 		t.Fatal(err)
 	}
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 
 	type result struct {
 		vs  VoteSet

@@ -98,7 +98,7 @@ func TestIngestInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AppendEdge(999, 999)
+	g.Append([]bipartite.Edge{{U: 999, V: 999}})
 	d2, err := e.Detect(ctx, testParams(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestIngestInvalidatesCache(t *testing.T) {
 	}
 
 	// A duplicate-only batch keeps the version, so the cache stays warm.
-	g.AppendEdge(999, 999)
+	g.Append([]bipartite.Edge{{U: 999, V: 999}})
 	d3, err := e.Detect(ctx, testParams(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 2", st.CacheEntries)
 	}
 	for i := 0; i < 3; i++ {
-		g.AppendEdge(uint32(5400+i), 3)
+		g.Append([]bipartite.Edge{{U: uint32(5400 + i), V: 3}})
 		if _, err := e.Votes(ctx, cfg(4)); err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func TestDetectIncrementalAfterSmallDelta(t *testing.T) {
 
 	// One new user transacting with one existing merchant: |V| is stable, so
 	// every sample that did not draw that merchant is provably clean.
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 	d2, err := e.Detect(ctx, onsParams(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestIncrementalDisabledByNegativeRatio(t *testing.T) {
 	if _, err := e.Detect(ctx, onsParams(), 6); err != nil {
 		t.Fatal(err)
 	}
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 	d, err := e.Detect(ctx, onsParams(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestIncrementalResInsertFallsBackNotResumable(t *testing.T) {
 	// RES draws edge indices, so reuse requires |E| unchanged; an insert is
 	// provably non-resumable and must fall back cold — correctly, not
 	// erroring.
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 	d, err := e.Detect(ctx, p, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestEvictionKeepsIncrementalBaseUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		g.AppendEdge(uint32(5100+i), 3)
+		g.Append([]bipartite.Edge{{U: uint32(5100 + i), V: 3}})
 		d, err := e.Detect(ctx, onsParams(), 6)
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestEvictionBoundsPinnedEntriesAcrossFingerprints(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for i := 0; i < 2; i++ {
 			if i > 0 {
-				g.AppendEdge(uint32(5500+seed), 3)
+				g.Append([]bipartite.Edge{{U: uint32(5500 + seed), V: 3}})
 			}
 			if _, err := e.Votes(ctx, cfg(seed)); err != nil {
 				t.Fatal(err)
@@ -244,7 +244,7 @@ func TestFlushCacheDropsIncrementalBases(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.FlushCache()
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 	d, err := e.Detect(ctx, onsParams(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestDetectHTTPReportsIncrementalFields(t *testing.T) {
 	if first["incremental"] != false || first["rerun_samples"] != float64(12) {
 		t.Errorf("cold response: incremental=%v rerun_samples=%v", first["incremental"], first["rerun_samples"])
 	}
-	g.AppendEdge(5000, 3)
+	g.Append([]bipartite.Edge{{U: 5000, V: 3}})
 	second := detect()
 	if second["incremental"] != true {
 		t.Fatalf("post-delta response not incremental: %v", second)

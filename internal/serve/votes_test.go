@@ -8,6 +8,7 @@ import (
 	"testing"
 	"weak"
 
+	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/core"
 )
 
@@ -79,7 +80,7 @@ func TestDemotedBasesAreReleased(t *testing.T) {
 	var outs []weak.Pointer[core.Output]
 	for i := 0; i < 6; i++ {
 		if i > 0 {
-			g.AppendEdge(uint32(5200+i), 3)
+			g.Append([]bipartite.Edge{{U: uint32(5200 + i), V: 3}})
 		}
 		d, err := e.Detect(ctx, p, 6)
 		if err != nil {

@@ -82,18 +82,6 @@ func (g *Graph) Delta(from, to uint64) (Delta, bool) {
 	return d, true
 }
 
-// SetDeltaHistoryLimit replaces the touched-node history bound (in summed
-// endpoints across retained records; 0 or negative disables tracking). The
-// existing history is discarded and the floor rises to the current version,
-// so the next Delta range starts fresh — the limit is a construction-time
-// tuning knob, not something to flip per query.
-func (g *Graph) SetDeltaHistoryLimit(nodes int) {
-	g.histMu.Lock()
-	defer g.histMu.Unlock()
-	g.histLimit = nodes
-	g.histResetLocked(g.version.Load())
-}
-
 // histRecord appends one commit's touched endpoints to the history, evicting
 // from the front (and raising the floor) once the node budget is exceeded.
 // Eviction advances histHead and zeroes the slot, releasing its endpoint

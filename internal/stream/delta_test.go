@@ -38,11 +38,11 @@ func TestDeltaTracksAppendEndpoints(t *testing.T) {
 
 func TestDeltaSubrangeExcludesOutsideCommits(t *testing.T) {
 	g := NewSharded(1)
-	g.AppendEdge(1, 10)
+	g.Append([]bipartite.Edge{{U: 1, V: 10}})
 	v1 := g.Version()
-	g.AppendEdge(2, 11)
+	g.Append([]bipartite.Edge{{U: 2, V: 11}})
 	v2 := g.Version()
-	g.AppendEdge(3, 12)
+	g.Append([]bipartite.Edge{{U: 3, V: 12}})
 
 	d, ok := g.Delta(v1, v2)
 	if !ok {
@@ -67,10 +67,10 @@ func TestDeltaSubrangeExcludesOutsideCommits(t *testing.T) {
 
 func TestDeltaDuplicateBatchDoesNotCommitButDupEndpointsMayOvermark(t *testing.T) {
 	g := NewSharded(2)
-	g.AppendEdge(1, 10)
+	g.Append([]bipartite.Edge{{U: 1, V: 10}})
 	v1 := g.Version()
 	// A fully-duplicate batch does not bump the version and records nothing.
-	g.AppendEdge(1, 10)
+	g.Append([]bipartite.Edge{{U: 1, V: 10}})
 	if g.Version() != v1 {
 		t.Fatalf("duplicate batch bumped version to %d", g.Version())
 	}
@@ -95,6 +95,7 @@ func TestDeltaDuplicateBatchDoesNotCommitButDupEndpointsMayOvermark(t *testing.T
 
 func TestDeltaTracksRemovalsAndRetires(t *testing.T) {
 	g := NewSharded(4)
+	g.SetWindow(WindowPolicy{MaxEdges: 1})
 	g.Append([]bipartite.Edge{{U: 1, V: 10}, {U: 2, V: 11}, {U: 3, V: 12}})
 	v1 := g.Version()
 
@@ -112,7 +113,6 @@ func TestDeltaTracksRemovalsAndRetires(t *testing.T) {
 
 	// A window retire pass is a removal commit like any other.
 	v2 := g.Version()
-	g.SetWindow(WindowPolicy{MaxEdges: 1})
 	g.Retire(time.Now())
 	d, ok = g.Delta(v2, g.Version())
 	if !ok {
@@ -128,7 +128,7 @@ func TestDeltaEvictionRaisesFloor(t *testing.T) {
 	g.SetDeltaHistoryLimit(4)
 	v0 := g.Version()
 	for i := uint32(0); i < 8; i++ {
-		g.AppendEdge(i, 100+i)
+		g.Append([]bipartite.Edge{{U: i, V: 100 + i}})
 	}
 	if _, ok := g.Delta(v0, g.Version()); ok {
 		t.Fatal("evicted range should be unanswerable")
@@ -145,7 +145,7 @@ func TestDeltaDisabledTracking(t *testing.T) {
 	g := NewSharded(1)
 	g.SetDeltaHistoryLimit(0)
 	v0 := g.Version()
-	g.AppendEdge(1, 10)
+	g.Append([]bipartite.Edge{{U: 1, V: 10}})
 	if _, ok := g.Delta(v0, g.Version()); ok {
 		t.Fatal("Delta should be unanswerable with tracking disabled")
 	}
@@ -164,7 +164,7 @@ func TestDeltaResetOnRestoreForceAndReplayHole(t *testing.T) {
 	if _, ok := g.Delta(0, ver); ok {
 		t.Fatal("pre-restore range should be unanswerable")
 	}
-	g.AppendEdge(7, 70)
+	g.Append([]bipartite.Edge{{U: 7, V: 70}})
 	d, ok := g.Delta(ver, g.Version())
 	if !ok || d.Inserts != 1 || !slices.Equal(sortedU32(d.Users), []uint32{7}) {
 		t.Fatalf("post-restore delta = %+v ok=%v, want users=[7]", d, ok)
@@ -181,7 +181,7 @@ func TestDeltaResetOnRestoreForceAndReplayHole(t *testing.T) {
 	if _, ok := g.Delta(ver, g.Version()); ok {
 		t.Fatal("replay hole should clear history")
 	}
-	g.AppendEdge(8, 80)
+	g.Append([]bipartite.Edge{{U: 8, V: 80}})
 	if d, ok := g.Delta(hole, g.Version()); !ok || d.Inserts != 1 {
 		t.Fatalf("post-hole delta = %+v ok=%v, want 1 insert", d, ok)
 	}
@@ -193,7 +193,7 @@ func TestDeltaResetOnRestoreForceAndReplayHole(t *testing.T) {
 	if _, ok := g.Delta(hole, hole+1); ok {
 		t.Fatal("abandoned-timeline range should be unanswerable")
 	}
-	g.AppendEdge(9, 90)
+	g.Append([]bipartite.Edge{{U: 9, V: 90}})
 	if d, ok := g.Delta(low, g.Version()); !ok || d.Inserts != 1 {
 		t.Fatalf("post-rewind delta = %+v ok=%v, want 1 insert", d, ok)
 	}
@@ -208,7 +208,7 @@ func TestDeltaConcurrentAppends(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
 				u := uint32(w*1000 + i)
-				g.AppendEdge(u, u%37)
+				g.Append([]bipartite.Edge{{U: u, V: u % 37}})
 			}
 		}(w)
 	}

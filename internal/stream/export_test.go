@@ -53,3 +53,15 @@ func runsOutOfOrder(g *Graph) bool {
 	}
 	return false
 }
+
+// SetDeltaHistoryLimit replaces the touched-node history bound (in summed
+// endpoints across retained records; 0 or negative disables tracking). The
+// existing history is discarded and the floor rises to the current version,
+// so the next Delta range starts fresh — the limit is a construction-time
+// tuning knob, not something to flip per query.
+func (g *Graph) SetDeltaHistoryLimit(nodes int) {
+	g.histMu.Lock()
+	defer g.histMu.Unlock()
+	g.histLimit = nodes
+	g.histResetLocked(g.version.Load())
+}

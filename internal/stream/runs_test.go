@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -28,6 +27,7 @@ func TestStampsExactUnderOutOfOrderCommits(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			for _, k := range []uint64{1, 13, 200, 399} {
 				g := NewSharded(shards)
+				g.SetWindow(WindowPolicy{MaxVersions: k})
 				vers := make([]map[bipartite.Edge]uint64, producers)
 				var wg sync.WaitGroup
 				for w := 0; w < producers; w++ {
@@ -76,7 +76,6 @@ func TestStampsExactUnderOutOfOrderCommits(t *testing.T) {
 						}
 					}
 				}
-				g.SetWindow(WindowPolicy{MaxVersions: k})
 				res := g.Retire(time.Now())
 				if res.Removed != producers*batches*batchLen-len(want) {
 					t.Fatalf("shards=%d seed=%d k=%d: removed %d, want %d",
@@ -103,19 +102,17 @@ func TestStampsExactUnderOutOfOrderCommits(t *testing.T) {
 
 // stampModel is the reference for the stream's documented semantics: every
 // live edge with the (version, wall time) its batch committed as, aged by
-// the WindowPolicy rules, restamped wholesale by RestoreAt and by the refill
-// of a log that a capture without a window dropped.
+// the WindowPolicy rules and restamped wholesale by RestoreAt.
 type stampModel struct {
 	ver, lastIngest uint64
 	live            map[bipartite.Edge]modelStamp
 	nu, nm          int
-	// windowed mirrors the installed policy; capVer is the version of the
-	// newest capture (captured once there is one); dropped says a capture
-	// without a window has dropped the log since the last refill, and
-	// dropTop is the newest stamp it dropped.
-	windowed, captured, dropped bool
-	capVer                      uint64
-	dropTop                     modelStamp
+	// capVer is the version of the newest capture: a live edge stamped at or
+	// below it is in the captured base.
+	capVer uint64
+	// built caches graph's CSR, built at version builtAt.
+	built   *bipartite.Graph
+	builtAt uint64
 }
 
 type modelStamp struct {
@@ -152,47 +149,11 @@ func (m *stampModel) remove(edges []bipartite.Edge) {
 	}
 }
 
-// capture mirrors a Snapshot that captures, one at a new version (or the
-// first). Without a window the capture drops the log, keeping the newest
-// stamp of what it dropped; every live edge was in the log or is in the
-// base, whose stamps an earlier drop already folded in.
-func (m *stampModel) capture() {
-	if m.captured && m.capVer == m.ver {
-		return // the stream answers from its cached snapshot
-	}
-	m.captured, m.capVer = true, m.ver
-	if m.windowed {
-		return
-	}
-	m.dropped = true
-	for _, s := range m.live {
-		m.dropTop.ver = max(m.dropTop.ver, s.ver)
-		m.dropTop.at = max(m.dropTop.at, s.at)
-	}
-}
-
-// setWindow mirrors SetWindow: installing a window on a graph whose log a
-// capture dropped refills it, restamping every edge the last capture
-// absorbed (version at most capVer; later ones are in the log) at dropTop.
-func (m *stampModel) setWindow(p WindowPolicy) {
-	m.windowed = p.Enabled()
-	if !m.windowed || !m.dropped {
-		return
-	}
-	for e, s := range m.live {
-		if s.ver <= m.capVer {
-			m.live[e] = m.dropTop
-		}
-	}
-	m.dropped, m.dropTop = false, modelStamp{}
-}
-
-// retire mirrors SetWindow(p) and then Retire at now, the pair every script
-// runs: version and wall age first, then MaxEdges drops whole versions
-// oldest-first and trims the boundary version's canonically smallest edges
-// so the survivors land exactly on the cap.
+// retire mirrors Retire at now under the graph's policy p (a no-op for the
+// zero policy): version and wall age first, then MaxEdges drops whole
+// versions oldest-first and trims the boundary version's canonically
+// smallest edges so the survivors land exactly on the cap.
 func (m *stampModel) retire(p WindowPolicy, now int64) {
-	m.setWindow(p)
 	var dead []bipartite.Edge
 	byVer := map[uint64][]bipartite.Edge{}
 	for e, s := range m.live {
@@ -216,9 +177,7 @@ func (m *stampModel) retire(p WindowPolicy, now int64) {
 				break
 			}
 			es := byVer[v]
-			slices.SortFunc(es, func(a, b bipartite.Edge) int {
-				return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-			})
+			slices.SortFunc(es, edgeOrder)
 			n := min(excess, len(es))
 			dead = append(dead, es[:n]...)
 			excess -= n
@@ -227,32 +186,94 @@ func (m *stampModel) retire(p WindowPolicy, now int64) {
 	m.remove(dead)
 }
 
-// restore mirrors RestoreAt into a new, unwindowed graph: every edge is
-// stamped at the snapshot and is in the base alone.
+// restore mirrors RestoreAt into a new graph made with the same policy:
+// every edge is stamped at the snapshot, which is the newest capture.
 func (m *stampModel) restore(ver uint64, wall int64) {
-	m.lastIngest = ver
+	m.lastIngest, m.capVer = ver, ver
 	for e := range m.live {
 		m.live[e] = modelStamp{ver, wall}
 	}
-	m.windowed, m.captured, m.capVer = false, true, ver
-	m.dropped, m.dropTop = true, modelStamp{ver, wall}
 }
 
-// csr returns the bytes the stream's snapshot must equal. Every caller has
-// just snapshotted the stream, so csr is also the model's capture.
-func (m *stampModel) csr(t *testing.T) []byte {
+// graph returns the CSR the stream's snapshot must equal. Every caller has
+// just snapshotted the stream, so graph is also the model's capture. The
+// live set changes only with the version, so the CSR is rebuilt only then.
+func (m *stampModel) graph(t *testing.T) *bipartite.Graph {
 	t.Helper()
-	m.capture()
-	edges := make([]bipartite.Edge, 0, len(m.live))
+	m.capVer = m.ver
+	if m.built != nil && m.builtAt == m.ver {
+		return m.built
+	}
+	// Counted into grid order, which is the CSR's order: the build's own sort
+	// then runs in linear time.
+	on := make([]bool, m.nu*m.nm)
 	for e := range m.live {
-		edges = append(edges, e)
+		on[int(e.U)*m.nm+int(e.V)] = true
+	}
+	edges := make([]bipartite.Edge, 0, len(m.live))
+	for i, live := range on {
+		if live {
+			edges = append(edges, bipartite.Edge{U: uint32(i / m.nm), V: uint32(i % m.nm)})
+		}
 	}
 	g, err := bipartite.FromEdges(m.nu, m.nm, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return csrBytes(t, g)
+	m.built, m.builtAt = g, m.ver
+	return g
 }
+
+// sameCSR reports whether a and b hold the same CSR arrays: sizes, both
+// sides' offsets and both adjacency arrays, which is all the codec writes.
+func sameCSR(a, b *bipartite.Graph) bool {
+	if a.NumUsers() != b.NumUsers() || a.NumMerchants() != b.NumMerchants() || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for u := uint32(0); int(u) < a.NumUsers(); u++ {
+		as, ae := a.UserRowRange(u)
+		if bs, be := b.UserRowRange(u); as != bs || ae != be {
+			return false
+		}
+	}
+	for v := uint32(0); int(v) < a.NumMerchants(); v++ {
+		as, ae := a.MerchantRowRange(v)
+		if bs, be := b.MerchantRowRange(v); as != bs || ae != be {
+			return false
+		}
+	}
+	for i := 0; i < a.NumEdges(); i++ {
+		if a.UserAdjAt(i) != b.UserAdjAt(i) || a.MerchantAdjAt(i) != b.MerchantAdjAt(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeOrder is the canonical (user, merchant) order.
+func edgeOrder(a, b bipartite.Edge) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+}
+
+// windowRows is the fixed table of policies every script replays under, a
+// policy its graphs are made with: no window, each bound alone, and all three
+// together, named by windowRowNames. The count bound keeps an eighth of the
+// script's id grid.
+func windowRows(grid int) []WindowPolicy {
+	const versions, age = 12, 30 * time.Second
+	return []WindowPolicy{
+		{},
+		{MaxVersions: versions},
+		{MaxEdges: grid / 8},
+		{MaxAge: age},
+		{MaxVersions: versions, MaxEdges: grid / 8, MaxAge: age},
+	}
+}
+
+var windowRowNames = []string{"none", "versions", "edges", "age", "all"}
+
+// modelUsers and modelMerchants span the id grid of modelScripts.
+const modelUsers, modelMerchants = 120, 90
 
 // modelScripts are the seeds TestStreamMatchesModel replays. A script that
 // ever fails is shrunk by hand to the shortest failing seed and step count
@@ -284,32 +305,52 @@ var sparseScripts = []struct {
 }
 
 // TestStreamMatchesModel runs seeded random scripts of Append, Remove,
-// Retire (under every window bound, the clock driven through g.now),
-// Snapshot and one mid-script RestoreAt into a fresh graph, and after every
-// step compares the stream's snapshot bytes, version and sizes with a full
-// rebuild of the model's live set. The capture-sparse family checks every
-// append's dedup counts against the model instead, and captures only now
-// and then.
+// Retire (the clock driven through g.now), Snapshot and one mid-script
+// RestoreAt into a fresh graph, each under every row of windowRows, and
+// after every step compares the stream's snapshot (array for array),
+// version and sizes with a full rebuild of the model's live set. The
+// capture-sparse family checks every append's dedup counts against the
+// model instead, and captures only now and then. Every windowed run must
+// retire something, or its row tested nothing the unwindowed row does not.
+// The rows run in parallel.
 func TestStreamMatchesModel(t *testing.T) {
-	for _, sc := range modelScripts {
-		for _, shards := range []int{1, 2, 8} {
-			runModelScript(t, sc.seed, sc.steps, shards)
-		}
-	}
-	for _, sc := range sparseScripts {
-		for _, shards := range []int{1, 2, 8} {
-			runSparseScript(t, rand.New(rand.NewSource(sc.seed)), sc.sparseScript, shards)
-		}
+	for row, name := range windowRowNames {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, sc := range modelScripts {
+				p := windowRows(modelUsers * modelMerchants)[row]
+				for _, shards := range []int{1, 2, 8} {
+					if n := runModelScript(t, sc.seed, sc.steps, shards, p); p.Enabled() && n == 0 {
+						t.Errorf("seed=%d shards=%d window %+v: no retire removed an edge", sc.seed, shards, p)
+					}
+				}
+			}
+			for _, sc := range sparseScripts {
+				p := windowRows(sc.users * sc.merchants)[row]
+				for _, shards := range []int{1, 2, 8} {
+					n := runSparseScript(t, rand.New(rand.NewSource(sc.seed)), sc.sparseScript, shards, p)
+					if p.Enabled() && n == 0 {
+						t.Errorf("sparse seed=%d shards=%d window %+v: no retire removed an edge", sc.seed, shards, p)
+					}
+				}
+			}
+		})
 	}
 }
 
-func runModelScript(t *testing.T, seed int64, steps, shards int) {
+// runModelScript plays a model script on graphs made with policy p and
+// returns how many edges its retires removed.
+func runModelScript(t *testing.T, seed int64, steps, shards int, p WindowPolicy) (retired int) {
 	t.Helper()
-	const users, merchants = 120, 90
 	rng := rand.New(rand.NewSource(seed))
 	clock := time.Unix(1_000_000, 0)
-	g := NewSharded(shards)
-	g.now = func() time.Time { return clock }
+	newGraph := func() *Graph {
+		g := NewSharded(shards)
+		g.SetWindow(p)
+		g.now = func() time.Time { return clock }
+		return g
+	}
+	g := newGraph()
 	m := &stampModel{live: map[bipartite.Edge]modelStamp{}}
 	var lastBatch []bipartite.Edge
 
@@ -320,8 +361,7 @@ func runModelScript(t *testing.T, seed int64, steps, shards int) {
 		case step == steps/2:
 			op = "restore"
 			snap, v, mark := g.SnapshotWithMark()
-			g = NewSharded(shards)
-			g.now = func() time.Time { return clock }
+			g = newGraph()
 			if err := g.RestoreAt(snap, v, mark, clock.UnixNano()); err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +370,7 @@ func runModelScript(t *testing.T, seed int64, steps, shards int) {
 			op = "append"
 			lastBatch = make([]bipartite.Edge, 1+rng.Intn(300))
 			for i := range lastBatch {
-				lastBatch[i] = bipartite.Edge{U: uint32(rng.Intn(users)), V: uint32(rng.Intn(merchants))}
+				lastBatch[i] = bipartite.Edge{U: uint32(rng.Intn(modelUsers)), V: uint32(rng.Intn(modelMerchants))}
 			}
 			g.Append(lastBatch)
 			m.append(lastBatch, clock.UnixNano())
@@ -342,25 +382,12 @@ func runModelScript(t *testing.T, seed int64, steps, shards int) {
 					dead = append(dead, e)
 				}
 			}
-			dead = append(dead, bipartite.Edge{U: uint32(rng.Intn(users)), V: uint32(rng.Intn(merchants))})
+			dead = append(dead, bipartite.Edge{U: uint32(rng.Intn(modelUsers)), V: uint32(rng.Intn(modelMerchants))})
 			g.Remove(dead)
 			m.remove(dead)
 		case r < 17:
 			op = "retire"
-			var p WindowPolicy
-			for !p.Enabled() {
-				if rng.Intn(2) == 0 {
-					p.MaxVersions = uint64(1 + rng.Intn(25))
-				}
-				if rng.Intn(2) == 0 {
-					p.MaxEdges = 50 + rng.Intn(2000)
-				}
-				if rng.Intn(2) == 0 {
-					p.MaxAge = time.Duration(5+rng.Intn(60)) * time.Second
-				}
-			}
-			g.SetWindow(p)
-			g.Retire(clock)
+			retired += g.Retire(clock).Removed
 			m.retire(p, clock.UnixNano())
 		default:
 			op = "snapshot"
@@ -368,23 +395,24 @@ func runModelScript(t *testing.T, seed int64, steps, shards int) {
 
 		snap, v := g.Snapshot()
 		if v != m.ver {
-			t.Fatalf("seed=%d shards=%d step %d (%s): version %d, model %d", seed, shards, step, op, v, m.ver)
+			t.Fatalf("seed=%d shards=%d window %+v step %d (%s): version %d, model %d", seed, shards, p, step, op, v, m.ver)
 		}
-		if !bytes.Equal(csrBytes(t, snap), m.csr(t)) {
-			t.Fatalf("seed=%d shards=%d step %d (%s): snapshot diverges from the model", seed, shards, step, op)
+		if !sameCSR(snap, m.graph(t)) {
+			t.Fatalf("seed=%d shards=%d window %+v step %d (%s): snapshot diverges from the model", seed, shards, p, step, op)
 		}
 		sum := 0
 		for _, sz := range g.ShardSizes() {
 			sum += sz.NumEdges
 		}
 		if st := g.Stats(); sum != st.NumEdges || st.NumEdges != len(m.live) {
-			t.Fatalf("seed=%d shards=%d step %d (%s): shard sizes sum to %d, stats %d, model %d",
-				seed, shards, step, op, sum, st.NumEdges, len(m.live))
+			t.Fatalf("seed=%d shards=%d window %+v step %d (%s): shard sizes sum to %d, stats %d, model %d",
+				seed, shards, p, step, op, sum, st.NumEdges, len(m.live))
 		}
 		if err := checkRuns(g); err != nil {
-			t.Fatalf("seed=%d shards=%d step %d (%s): %v", seed, shards, step, op, err)
+			t.Fatalf("seed=%d shards=%d window %+v step %d (%s): %v", seed, shards, p, step, op, err)
 		}
 	}
+	return retired
 }
 
 // choices is the source a capture-sparse script draws from: a seeded
@@ -412,27 +440,27 @@ func (c *byteChoices) Intn(n int) int {
 	return v % n
 }
 
-// runSparseScript plays a capture-sparse script drawn from ch: appends of
-// random edges, re-adds of edges removed or retired earlier, removes,
-// retires, captures and restores, plus two steps on a graph without a window,
-// whose captures drop the shard logs: removes of edges only the captured
-// base holds, and installing a window after a capture, which refills the
-// logs from the base. Every append's Added and Duplicates must equal the
-// model's counts, and every step's version and size must match; snapshot
-// bytes are compared only at the capture and restore steps and at the end.
-func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
+// runSparseScript plays a capture-sparse script drawn from ch on graphs made
+// with policy p: appends of random edges, re-adds of edges removed or retired
+// earlier, removes, retires, captures, restores, and removes of edges the
+// captured base holds, which without a window are in the base alone. Every
+// append's Added and Duplicates must equal the model's counts, and every
+// step's version and size must match; snapshots are compared only at the
+// capture and restore steps and at the end. It returns how many edges its
+// retires removed.
+func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int, p WindowPolicy) (retired int) {
 	t.Helper()
 	users, merchants := sc.users, sc.merchants
 	clock := time.Unix(1_000_000, 0)
-	g := NewSharded(shards)
-	g.now = func() time.Time { return clock }
-	m := &stampModel{live: map[bipartite.Edge]modelStamp{}}
-	var lastBatch, gone, grid []bipartite.Edge
-	for u := 0; u < users; u++ {
-		for v := 0; v < merchants; v++ {
-			grid = append(grid, bipartite.Edge{U: uint32(u), V: uint32(v)})
-		}
+	newGraph := func() *Graph {
+		g := NewSharded(shards)
+		g.SetWindow(p)
+		g.now = func() time.Time { return clock }
+		return g
 	}
+	g := newGraph()
+	m := &stampModel{live: map[bipartite.Edge]modelStamp{}}
+	var lastBatch, gone []bipartite.Edge
 	randomEdge := func() bipartite.Edge {
 		return bipartite.Edge{U: uint32(ch.Intn(users)), V: uint32(ch.Intn(merchants))}
 	}
@@ -445,7 +473,7 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 		return out
 	}
 	where := func(step int, op string) string {
-		return fmt.Sprintf("shards=%d step %d (%s)", shards, step, op)
+		return fmt.Sprintf("shards=%d window %+v step %d (%s)", shards, p, step, op)
 	}
 	appendChecked := func(step int, op string, batch []bipartite.Edge) {
 		added := 0
@@ -469,50 +497,30 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 	removing := func(apply func()) {
 		before := maps.Clone(m.live)
 		apply()
-		// Grid order, not map order: later draws over gone must replay.
-		for _, e := range grid {
-			_, was := before[e]
-			if _, live := m.live[e]; was && !live {
-				gone = append(gone, e)
+		var lost []bipartite.Edge
+		for e := range before {
+			if _, live := m.live[e]; !live {
+				lost = append(lost, e)
 			}
 		}
+		// Sorted, not map order: later draws over gone must replay.
+		slices.SortFunc(lost, edgeOrder)
+		gone = append(gone, lost...)
 		if len(gone) > 400 {
 			gone = gone[len(gone)-400:]
 		}
 	}
 	capture := func(step int, op string) {
 		snap, v := g.Snapshot()
-		if v != m.ver || !bytes.Equal(csrBytes(t, snap), m.csr(t)) {
+		if v != m.ver || !sameCSR(snap, m.graph(t)) {
 			t.Fatalf("%s: snapshot at version %d diverges from the model at %d", where(step, op), v, m.ver)
 		}
-	}
-	randomWindow := func() WindowPolicy {
-		var p WindowPolicy
-		for !p.Enabled() {
-			if ch.Intn(2) == 0 {
-				p.MaxVersions = uint64(1 + ch.Intn(25))
-			}
-			if ch.Intn(2) == 0 {
-				p.MaxEdges = 1 + ch.Intn(users*merchants/4)
-			}
-			if ch.Intn(2) == 0 {
-				p.MaxAge = time.Duration(5+ch.Intn(60)) * time.Second
-			}
-		}
-		return p
-	}
-	// unwindowedCapture removes the window and captures, which drops the
-	// shard logs: every live edge is then in the captured base alone.
-	unwindowedCapture := func(step int, op string) {
-		g.SetWindow(WindowPolicy{})
-		m.setWindow(WindowPolicy{})
-		capture(step, op)
 	}
 
 	for step := 0; step < sc.steps; step++ {
 		clock = clock.Add(time.Duration(ch.Intn(4000)) * time.Millisecond)
 		var op string
-		switch r := ch.Intn(22); {
+		switch r := ch.Intn(21); {
 		case r < 9:
 			op = "append"
 			batch := make([]bipartite.Edge, 1+ch.Intn(sc.maxBatch))
@@ -535,10 +543,8 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 			})
 		case r < 16:
 			op = "retire"
-			p := randomWindow()
 			removing(func() {
-				g.SetWindow(p)
-				g.Retire(clock)
+				retired += g.Retire(clock).Removed
 				m.retire(p, clock.UnixNano())
 			})
 		case r < 19:
@@ -546,34 +552,23 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 			capture(step, op)
 		case r == 19:
 			op = "remove-base"
-			unwindowedCapture(step, op)
+			capture(step, op)
 			var base []bipartite.Edge
-			for _, e := range grid {
-				if s, live := m.live[e]; live && s.ver <= m.capVer {
+			for e, s := range m.live {
+				if s.ver <= m.capVer {
 					base = append(base, e)
 				}
 			}
+			slices.SortFunc(base, edgeOrder)
 			dead := append(pick(base, 1+ch.Intn(16)), randomEdge())
 			removing(func() {
 				g.Remove(dead)
 				m.remove(dead)
 			})
-		case r == 20:
-			op = "refill"
-			unwindowedCapture(step, op)
-			batch := make([]bipartite.Edge, ch.Intn(8))
-			for i := range batch {
-				batch[i] = randomEdge()
-			}
-			appendChecked(step, op, batch)
-			p := randomWindow()
-			g.SetWindow(p)
-			m.setWindow(p)
 		default:
 			op = "restore"
 			snap, v, mark := g.SnapshotWithMark()
-			g = NewSharded(shards)
-			g.now = func() time.Time { return clock }
+			g = newGraph()
 			if err := g.RestoreAt(snap, v, mark, clock.UnixNano()); err != nil {
 				t.Fatal(err)
 			}
@@ -588,22 +583,33 @@ func runSparseScript(t *testing.T, ch choices, sc sparseScript, shards int) {
 		}
 	}
 	capture(sc.steps, "final")
+	return retired
 }
 
 // FuzzStreamModel plays fuzzer bytes as a capture-sparse script at 1, 2 and
-// 8 shards: one step per 8 bytes up to 200, on a 24×16 id grid where
-// duplicates and re-adds are common. The seed corpus is the sparse family's
-// seeds, as 40 steps' worth of bytes each.
+// 8 shards: the first byte picks the row of windowRows, then one step per 8
+// bytes up to 200, on a 24×16 id grid where duplicates and re-adds are
+// common. The seed corpus is the sparse family's seeds, as 40 steps' worth of
+// bytes each, under every row.
 func FuzzStreamModel(f *testing.F) {
+	const users, merchants = 24, 16
+	rows := windowRows(users * merchants)
 	for _, sc := range sparseScripts {
-		b := make([]byte, 8*40)
-		rand.New(rand.NewSource(sc.seed)).Read(b)
-		f.Add(b)
+		for row := range rows {
+			b := make([]byte, 1+8*40)
+			rand.New(rand.NewSource(sc.seed)).Read(b[1:])
+			b[0] = byte(row)
+			f.Add(b)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := sparseScript{steps: min(len(data)/8, 200), maxBatch: 16, users: 24, merchants: 16}
+		if len(data) == 0 {
+			return
+		}
+		p, data := rows[int(data[0])%len(rows)], data[1:]
+		sc := sparseScript{steps: min(len(data)/8, 200), maxBatch: 16, users: users, merchants: merchants}
 		for _, shards := range []int{1, 2, 8} {
-			runSparseScript(t, &byteChoices{b: data}, sc, shards)
+			runSparseScript(t, &byteChoices{b: data}, sc, shards, p)
 		}
 	})
 }

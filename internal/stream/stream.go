@@ -49,8 +49,8 @@
 // until the build is done with them. The edges below the marks then live
 // only in the base (below), which is what Remove deletes them from. A window
 // needs every live edge's stamp in append order, so a windowed capture keeps
-// the whole log, and installing a window on a graph whose log was dropped
-// refills the log from the base (SetWindow).
+// the whole log. Whether a graph has a window is fixed at birth (SetWindow
+// runs on a fresh graph only), so a dropped log is never needed again.
 //
 // # Deduplication against the captured snapshot
 //
@@ -152,19 +152,10 @@ type Graph struct {
 	// Guarded by commitMu's write half (removals and captures all hold it).
 	pendingDel []bipartite.Edge
 
-	// baseOnly reports that the edges below the shard marks are in the base
-	// alone: a capture with no window policy dropped them from the logs, or
-	// RestoreAt seeded an unwindowed graph. Their stamp rows went with them;
-	// baseVer and baseAt keep the newest stamp among the dropped rows, which
-	// a refill (SetWindow) stamps the whole base with. All three are guarded
-	// by commitMu's write half.
-	baseOnly bool
-	baseVer  uint64
-	baseAt   int64
-
-	// Window state: the active policy and the expiry watermark (no live edge
-	// carries a stamp at or below the mark). See window.go.
-	window   atomic.Pointer[WindowPolicy]
+	// Window state: the policy, written once by SetWindow before the graph
+	// is shared, and the expiry watermark (no live edge carries a stamp at or
+	// below the mark). See window.go.
+	window   WindowPolicy
 	markVer  atomic.Uint64
 	markWall atomic.Int64
 
@@ -228,8 +219,9 @@ type shard struct {
 	runs []stampRun
 	// snapMark is the baseline boundary: entries below it are contained in
 	// the latest captured snapshot, entries at or past it are the pending
-	// insert delta. Written by captures, removals and refills (commitMu write
-	// half).
+	// insert delta. Written by captures, removals and RestoreAt (commitMu
+	// write half). Always 0 on a graph without a window, whose captures drop
+	// the log.
 	snapMark int
 	// live counts the shard's live edges, in the log or in the base alone.
 	live int
@@ -362,15 +354,14 @@ func (g *Graph) SetJournal(j Journal) {
 // sets start empty. Without a window policy that is all: the edges live in
 // the base alone, as after any capture, and the shard logs start empty.
 //
-// A windowed graph also fills its shard logs from the snapshot's user rows.
-// Restored edges share one stamp row: the snapshot's version and wall (the
-// time the snapshot was written; 0 falls back to now): their original
-// per-batch stamps are not persisted, so for windowing purposes the whole
-// recovered set is treated as ingested when the snapshot was cut. The window
-// therefore never expires a recovered edge earlier than the live run would
-// have — it can only retain it a little longer, and steady-state traffic
-// re-converges the stamps. A window installed later stamps the restored
-// edges the same way (see SetWindow).
+// A windowed graph (SetWindow runs first) also fills its shard logs from the
+// snapshot's user rows. Restored edges share one stamp row per shard: the
+// snapshot's version and wall (the time the snapshot was written; 0 falls
+// back to now): their original per-batch stamps are not persisted, so for
+// windowing purposes the whole recovered set is treated as ingested when the
+// snapshot was cut. The window therefore never expires a recovered edge
+// earlier than the live run would have — it can only retain it a little
+// longer, and steady-state traffic re-converges the stamps.
 //
 // RestoreAt must run before any Append and before SetJournal; snap must be a
 // canonical CSR (one produced by this package's Snapshot or the bipartite
@@ -396,61 +387,35 @@ func (g *Graph) RestoreAt(snap *bipartite.Graph, version uint64, mark WindowMark
 	for u := 0; u < nu; u++ {
 		g.shards[uint32(u)&g.mask].live += snap.UserDegree(uint32(u))
 	}
+	if g.window.Enabled() {
+		// Every restored edge goes below its shard's mark, under one row
+		// stamped at the snapshot.
+		for i := range g.shards {
+			sh := &g.shards[i]
+			if sh.live > 0 {
+				sh.entries = make([]bipartite.Edge, 0, sh.live)
+				sh.runs = []stampRun{{end: sh.live, ver: version, at: wall}}
+				sh.snapMark = sh.live
+			}
+		}
+		for u := 0; u < nu; u++ {
+			sh := &g.shards[uint32(u)&g.mask]
+			for _, v := range snap.UserNeighbors(uint32(u)) {
+				sh.entries = append(sh.entries, bipartite.Edge{U: uint32(u), V: v})
+			}
+		}
+	}
 	g.numEdges.Store(int64(snap.NumEdges()))
 	atomicMax(&g.numUsers, int64(nu))
 	atomicMax(&g.numMerchants, int64(snap.NumMerchants()))
 	g.base.Store(&edgeBase{csr: snap})
 	g.snap.Store(&snapshot{g: snap, version: version, mark: mark})
-	g.baseOnly, g.baseVer, g.baseAt = true, version, wall
-	if g.window.Load() != nil {
-		g.refillLocked(snap)
-	}
 	g.version.Store(version)
 	g.lastIngest.Store(version)
 	// The adopted version starts a fresh history: nothing below it is
 	// answerable as a delta.
 	g.histReset(version)
 	return nil
-}
-
-// refillLocked puts the base's edges, csr less the shard removed sets, back
-// into the shard logs below their marks, ahead of the entries appended since
-// the capture. Their own stamp rows were dropped, so each shard gets one row
-// at the newest dropped stamp (baseVer, baseAt): the window never expires a
-// refilled edge earlier than its own stamp would have. Requires the commit
-// write lock, and csr must be the base's published CSR.
-func (g *Graph) refillLocked(csr *bipartite.Graph) {
-	logs := make([][]bipartite.Edge, len(g.shards))
-	for i := range g.shards {
-		logs[i] = make([]bipartite.Edge, 0, g.shards[i].live)
-	}
-	for u := 0; u < csr.NumUsers(); u++ {
-		si := uint32(u) & g.mask
-		for _, v := range csr.UserNeighbors(uint32(u)) {
-			e := bipartite.Edge{U: uint32(u), V: v}
-			if !g.shards[si].removed.Has(edgeKey(e)) {
-				logs[si] = append(logs[si], e)
-			}
-		}
-	}
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		mark := len(logs[i])
-		runs := make([]stampRun, 0, len(sh.runs)+1)
-		if mark > 0 {
-			runs = append(runs, stampRun{end: mark, ver: g.baseVer, at: g.baseAt})
-		}
-		for _, r := range sh.runs {
-			r.end += mark
-			runs = append(runs, r)
-		}
-		sh.entries = append(logs[i], sh.entries...)
-		sh.runs = runs
-		sh.snapMark = mark
-		sh.mu.Unlock()
-	}
-	g.baseOnly, g.baseVer, g.baseAt = false, 0, 0
 }
 
 // Append records a batch of purchase edges, deduplicating against everything
@@ -641,11 +606,6 @@ func atomicMaxU64(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// AppendEdge records a single purchase (u, v).
-func (g *Graph) AppendEdge(u, v uint32) AppendResult {
-	return g.Append([]bipartite.Edge{{U: u, V: v}})
-}
-
 // Version returns the current graph version. Version 0 is the empty graph.
 func (g *Graph) Version() uint64 { return g.version.Load() }
 
@@ -818,13 +778,14 @@ type cut struct {
 // each shard's snapMark moves to its log end, the delete list is taken, and
 // the shard dedup sets move into the interim base — because the build that
 // follows always completes and publishes, making this cut the next delta's
-// starting point. With no window policy the capture also drops the logs:
-// every entry is now below the mark and in the base, so each shard starts an
-// empty log at mark 0. Logs are append-only between removals (and removals
-// rewrite into fresh arrays), so the captured views stay immutable after
-// release and the hold time is O(shards), not O(edges) — ingest stalls for
-// the capture, never for the build. Requires buildMu and the commit write
-// lock; prev is the published snapshot the build will extend.
+// starting point. With no window policy the capture also drops the logs and
+// their stamp rows: every entry is now below the mark and in the base, which
+// Remove deletes from, so each shard starts an empty log at mark 0. Logs are
+// append-only between removals (and removals rewrite into fresh arrays), so
+// the captured views stay immutable after release and the hold time is
+// O(shards), not O(edges) — ingest stalls for the capture, never for the
+// build. Requires buildMu and the commit write lock; prev is the published
+// snapshot the build will extend.
 func (g *Graph) captureLocked(prev *snapshot) cut {
 	c := cut{
 		version:  g.version.Load(),
@@ -838,17 +799,13 @@ func (g *Graph) captureLocked(prev *snapshot) cut {
 	if prev != nil {
 		interim.csr = prev.g
 	}
-	drop := g.window.Load() == nil
+	drop := !g.window.Enabled()
 	for i := range g.shards {
 		sh := &g.shards[i]
 		c.logs[i] = sh.entries
 		c.insStart[i] = sh.snapMark
 		c.insLen += len(sh.entries) - sh.snapMark
 		if drop {
-			for _, r := range sh.runs {
-				g.baseVer = max(g.baseVer, r.ver)
-				g.baseAt = max(g.baseAt, r.at)
-			}
 			sh.entries, sh.runs, sh.snapMark = nil, nil, 0
 		} else {
 			sh.snapMark = len(sh.entries)
@@ -858,7 +815,6 @@ func (g *Graph) captureLocked(prev *snapshot) cut {
 		interim.pending[i], sh.pending = sh.pending, u64set.Set{}
 		interim.removed[i], sh.removed = sh.removed, u64set.Set{}
 	}
-	g.baseOnly = g.baseOnly || drop
 	g.base.Store(interim)
 	c.dels = g.pendingDel
 	g.pendingDel = nil

@@ -28,7 +28,7 @@ func TestAppendDedupAndVersion(t *testing.T) {
 		t.Fatalf("idempotent retry: %+v, want Added=0 Duplicates=2 Version=1", res)
 	}
 
-	res = g.AppendEdge(5, 7)
+	res = g.Append([]bipartite.Edge{{U: 5, V: 7}})
 	if res.Added != 1 || res.Version != 2 {
 		t.Fatalf("new edge: %+v, want Added=1 Version=2", res)
 	}
@@ -60,7 +60,7 @@ func TestSnapshotCachingAndImmutability(t *testing.T) {
 	}
 
 	// Appending must not mutate the earlier snapshot.
-	g.AppendEdge(9, 9)
+	g.Append([]bipartite.Edge{{U: 9, V: 9}})
 	if s1.NumEdges() != 3 || s1.NumUsers() != 2 {
 		t.Fatal("append mutated an existing snapshot")
 	}
@@ -174,7 +174,7 @@ func TestBuildsExtendAfterFirstCapture(t *testing.T) {
 		t.Fatalf("first snapshot: %+v, want exactly one full build", bs)
 	}
 
-	g.AppendEdge(600, 600)
+	g.Append([]bipartite.Edge{{U: 600, V: 600}})
 	g.Snapshot()
 	if bs := g.BuildStats(); bs.FullBuilds != 1 || bs.DeltaBuilds != 1 {
 		t.Fatalf("small delta: %+v, want one delta build", bs)
@@ -202,52 +202,55 @@ func TestBuildsExtendAfterFirstCapture(t *testing.T) {
 }
 
 // TestShardSizesSumToLiveEdges checks that the per-shard sizes /v1/stats
-// reports add up to the live edge count through every kind of change,
-// including captures that drop the shard logs and removes of edges only the
-// captured base holds.
+// reports add up to the live edge count through every kind of change, on a
+// graph without a window, whose captures drop the shard logs and whose
+// removes below the mark take edges only the captured base holds, and on a
+// windowed one, whose removes below the mark rewrite the logs.
 func TestShardSizesSumToLiveEdges(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		g := NewSharded(shards)
-		check := func(op string) {
-			t.Helper()
-			sum := 0
-			for _, sz := range g.ShardSizes() {
-				sum += sz.NumEdges
+	for _, w := range []WindowPolicy{{}, {MaxEdges: 300}} {
+		for _, shards := range []int{1, 2, 8} {
+			g := NewSharded(shards)
+			g.SetWindow(w)
+			check := func(op string) {
+				t.Helper()
+				sum := 0
+				for _, sz := range g.ShardSizes() {
+					sum += sz.NumEdges
+				}
+				if n := g.Stats().NumEdges; sum != n || n == 0 {
+					t.Fatalf("window %+v shards=%d after %s: shard sizes sum to %d, stats %d", w, shards, op, sum, n)
+				}
 			}
-			if n := g.Stats().NumEdges; sum != n || n == 0 {
-				t.Fatalf("shards=%d after %s: shard sizes sum to %d, stats %d", shards, op, sum, n)
+			first := randomEdges(1, 500, 60, 50)
+			g.Append(first)
+			check("append")
+			g.Snapshot()
+			check("capture")
+			more := randomEdges(2, 200, 60, 50)
+			g.Append(more)
+			check("append after a capture")
+			g.Remove(more[:20])
+			check("remove above the mark")
+			g.Remove(first[:40])
+			check("remove below the mark")
+			g.Snapshot()
+			check("second capture")
+			g.Append(randomEdges(3, 100, 60, 50))
+			if res := g.Retire(time.Now()); (res.Removed > 0) != w.Enabled() {
+				t.Fatalf("window %+v shards=%d: the retire removed %d", w, shards, res.Removed)
 			}
-		}
-		first := randomEdges(1, 500, 60, 50)
-		g.Append(first)
-		check("append")
-		g.Snapshot()
-		check("capture")
-		more := randomEdges(2, 200, 60, 50)
-		g.Append(more)
-		check("append after a capture")
-		g.Remove(more[:20])
-		check("remove above the mark")
-		g.Remove(first[:40])
-		check("remove below the mark")
-		g.Snapshot()
-		check("second capture")
-		g.SetWindow(WindowPolicy{MaxEdges: 300})
-		check("window refill")
-		g.Append(randomEdges(3, 100, 60, 50))
-		if res := g.Retire(time.Now()); res.Removed == 0 {
-			t.Fatalf("shards=%d: the retire removed nothing", shards)
-		}
-		check("retire")
+			check("retire")
 
-		snap, v, mark := g.SnapshotWithMark()
-		g = NewSharded(shards)
-		if err := g.RestoreAt(snap, v, mark, 0); err != nil {
-			t.Fatal(err)
+			snap, v, mark := g.SnapshotWithMark()
+			g = NewSharded(shards)
+			g.SetWindow(w)
+			if err := g.RestoreAt(snap, v, mark, 0); err != nil {
+				t.Fatal(err)
+			}
+			check("restore")
+			g.Remove(snap.EdgeList()[:30])
+			check("remove from the restored base")
 		}
-		check("restore")
-		g.Remove(snap.EdgeList()[:30])
-		check("remove from the restored base")
 	}
 }
 
@@ -426,7 +429,7 @@ func TestJournalTeesAddingBatches(t *testing.T) {
 	if res.Added != 0 || res.Err != nil {
 		t.Fatalf("dup append: %+v", res)
 	}
-	g.AppendEdge(2, 2)
+	g.Append([]bipartite.Edge{{U: 2, V: 2}})
 
 	if len(j.versions) != 2 || j.versions[0] != 1 || j.versions[1] != 2 {
 		t.Fatalf("journaled versions = %v, want [1 2]", j.versions)
@@ -441,7 +444,7 @@ func TestJournalErrorSurfacesInResult(t *testing.T) {
 	g := New()
 	j := &recordingJournal{err: errFailedJournal}
 	g.SetJournal(j)
-	res := g.AppendEdge(1, 1)
+	res := g.Append([]bipartite.Edge{{U: 1, V: 1}})
 	if res.Err == nil {
 		t.Fatal("journal failure not surfaced in AppendResult.Err")
 	}
@@ -502,7 +505,7 @@ func TestRestoreAdoptsSnapshotAndVersion(t *testing.T) {
 
 	// RestoreAt refuses a non-empty graph.
 	g := New()
-	g.AppendEdge(0, 0)
+	g.Append([]bipartite.Edge{{U: 0, V: 0}})
 	if err := g.RestoreAt(snap, v, WindowMark{}, 0); err == nil {
 		t.Fatal("RestoreAt on a non-empty graph must fail")
 	}

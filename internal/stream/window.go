@@ -75,43 +75,23 @@ type RetireResult struct {
 	Err error
 }
 
-// SetWindow installs (or, with a zero policy, removes) the sliding-window
-// policy. The policy only takes effect at Retire calls; installing it never
-// retires anything by itself.
-//
-// A window ages edges by the stamp rows of the shard logs, which a capture
-// without a policy drops along with the entries they stamp. Installing a
-// window on such a graph refills the logs from the base, every refilled
-// edge of a shard sharing one stamp row: the newest stamp among the dropped
-// rows, or the snapshot's stamp for edges RestoreAt seeded. This is the
-// RestoreAt rule: a refilled edge can outlive its own stamp, by at most the
-// gap between its batch and the newest one dropped, but never expires
-// earlier. Install the window before the first capture (the daemon does, at
-// boot) and every stamp stays exact.
+// SetWindow installs the sliding-window policy; the zero policy, the
+// default, means no window. The policy is fixed at birth: SetWindow is legal
+// only on a fresh graph — version 0, nothing restored and nothing captured,
+// so before the first Append, RestoreAt or Snapshot — and before the graph is
+// shared; on any other graph it panics. A window ages edges by the stamp rows
+// of the shard logs, which a graph without one drops at every capture. The
+// policy only takes effect at Retire calls; installing it never retires
+// anything by itself.
 func (g *Graph) SetWindow(p WindowPolicy) {
-	// The refill reads the published base, which only buildMu keeps from
-	// being an interim one.
-	g.buildMu.Lock()
-	defer g.buildMu.Unlock()
-	g.commitMu.Lock()
-	defer g.commitMu.Unlock()
-	if !p.Enabled() {
-		g.window.Store(nil)
-		return
+	if g.version.Load() != 0 || g.snap.Load() != nil || g.base.Load() != nil {
+		panic("stream: SetWindow on a graph that has appended, restored or captured; install the window on a fresh graph")
 	}
-	if g.baseOnly {
-		g.refillLocked(g.base.Load().csr)
-	}
-	g.window.Store(&p)
+	g.window = p
 }
 
-// Window returns the active window policy (zero when windowing is off).
-func (g *Graph) Window() WindowPolicy {
-	if p := g.window.Load(); p != nil {
-		return *p
-	}
-	return WindowPolicy{}
-}
+// Window returns the window policy (zero when windowing is off).
+func (g *Graph) Window() WindowPolicy { return g.window }
 
 // Retire applies the window policy as of now: it removes every live edge
 // that violates a bound (so a re-observed edge re-ingests with fresh stamps), bumps the version once if
@@ -124,19 +104,14 @@ func (g *Graph) Window() WindowPolicy {
 // capture can never observe half a retire. Passes are expected to run on a
 // period (the daemon's retire ticker), not per request.
 func (g *Graph) Retire(now time.Time) RetireResult {
-	if g.window.Load() == nil {
+	p := g.window
+	if !p.Enabled() {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
 	}
 	//ensemfdet:nondeterministic-ok retire-pass wall timing feeds retireNs metrics; the cut itself uses the caller-supplied now
 	start := time.Now()
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
-	// Re-read under the lock SetWindow stores under: a policy removed since
-	// the check above may have let a capture drop the logs.
-	p := g.window.Load()
-	if p == nil {
-		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
-	}
 
 	curV := g.version.Load()
 	var verCut uint64
@@ -283,9 +258,11 @@ func (g *Graph) countCutLocked(maxEdges int, verCut uint64, wallCut int64) (uint
 // replay reproduces retirements through it without re-evaluating any policy,
 // and it doubles as an explicit unlearning API (a chargeback, a data-removal
 // request). The window watermark does not move — Remove expresses "these
-// edges", not "everything this old". It scans the shard logs; an edge only
-// the base holds (no window policy) is answered from the base, so without a
-// window a Remove costs O(edges + log since the last capture).
+// edges", not "everything this old". It scans the shard logs. Without a
+// window the logs hold only what was appended since the last capture, and an
+// edge only the base holds is answered from the base, so a Remove costs
+// O(edges + log since the last capture); a windowed log holds every live
+// edge.
 func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 	if len(edges) == 0 {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
@@ -300,7 +277,7 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 		_, dead := keys[edgeKey(e)]
 		return dead
 	})
-	if g.baseOnly {
+	if !g.window.Enabled() {
 		removed = g.removeFromBaseLocked(edges, removed)
 	}
 	if len(removed) == 0 {
@@ -310,7 +287,8 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 }
 
 // removeFromBaseLocked deletes the edges that only the base holds, those
-// below the marks of dropped logs, and appends them to removed. Each joins
+// a capture dropped from the logs of a graph without a window, and appends
+// them to removed. Each joins
 // its shard's removed set and pendingDel, as a retire's deletes from below
 // the mark do. Requires the commit write lock.
 func (g *Graph) removeFromBaseLocked(edges, removed []bipartite.Edge) []bipartite.Edge {

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,8 +28,8 @@ func TestRetireByVersionAge(t *testing.T) {
 	g.SetWindow(WindowPolicy{MaxVersions: 2})
 
 	g.Append([]bipartite.Edge{{U: 0, V: 0}, {U: 1, V: 1}}) // version 1
-	g.AppendEdge(2, 2)                                     // version 2
-	g.AppendEdge(3, 3)                                     // version 3
+	g.Append([]bipartite.Edge{{U: 2, V: 2}})               // version 2
+	g.Append([]bipartite.Edge{{U: 3, V: 3}})               // version 3
 
 	// Window of 2 versions at version 3: batches stamped ≤ 1 expire.
 	res := g.Retire(time.Now())
@@ -57,7 +58,7 @@ func TestRetireByVersionAge(t *testing.T) {
 		t.Fatalf("re-ingest of retired edge: %+v, want Added=1 Version=5", re)
 	}
 	// A live edge is still a duplicate.
-	if dup := g.AppendEdge(3, 3); dup.Added != 0 || dup.Duplicates != 1 {
+	if dup := g.Append([]bipartite.Edge{{U: 3, V: 3}}); dup.Added != 0 || dup.Duplicates != 1 {
 		t.Fatalf("live edge re-append: %+v", dup)
 	}
 }
@@ -68,9 +69,9 @@ func TestRetireByWallAge(t *testing.T) {
 	g.now = func() time.Time { return now }
 	g.SetWindow(WindowPolicy{MaxAge: 10 * time.Second})
 
-	g.AppendEdge(0, 0)
+	g.Append([]bipartite.Edge{{U: 0, V: 0}})
 	now = now.Add(7 * time.Second)
-	g.AppendEdge(1, 1)
+	g.Append([]bipartite.Edge{{U: 1, V: 1}})
 
 	// 8s later: the first edge is 15s old, the second 8s.
 	now = now.Add(8 * time.Second)
@@ -150,10 +151,10 @@ func TestCountCapAfterRestoreTrimsInsteadOfEvicting(t *testing.T) {
 	live := snap.NumEdges()
 
 	g := NewSharded(4)
+	g.SetWindow(WindowPolicy{MaxEdges: live}) // exactly at the cap
 	if err := g.RestoreAt(snap, v, WindowMark{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	g.SetWindow(WindowPolicy{MaxEdges: live}) // exactly at the cap
 	g.Append([]bipartite.Edge{{U: 200, V: 200}, {U: 201, V: 201}, {U: 202, V: 202}})
 
 	res := g.Retire(time.Now())
@@ -205,7 +206,7 @@ func TestRetireJournalsTombstones(t *testing.T) {
 	g.SetWindow(WindowPolicy{MaxVersions: 1})
 
 	g.Append([]bipartite.Edge{{U: 0, V: 0}, {U: 1, V: 1}}) // v1
-	g.AppendEdge(2, 2)                                     // v2
+	g.Append([]bipartite.Edge{{U: 2, V: 2}})               // v2
 	res := g.Retire(time.Now())                            // v3, retires v1's edges
 	if res.Removed != 2 || res.Err != nil {
 		t.Fatalf("retire: %+v", res)
@@ -224,8 +225,8 @@ func TestRetireJournalsTombstones(t *testing.T) {
 	// A journal failure surfaces in the result but the in-memory retire
 	// stands (the store's gap machinery owns healing).
 	j.err = errFailedJournal
-	g.AppendEdge(3, 3)
-	g.AppendEdge(4, 4)
+	g.Append([]bipartite.Edge{{U: 3, V: 3}})
+	g.Append([]bipartite.Edge{{U: 4, V: 4}})
 	res = g.Retire(time.Now())
 	if res.Err == nil || res.Removed == 0 {
 		t.Fatalf("failed-journal retire: %+v", res)
@@ -396,19 +397,28 @@ func TestWindowedCountDeterminism(t *testing.T) {
 func TestRestoreAtAdoptsMarkAndStamps(t *testing.T) {
 	src := NewSharded(4)
 	src.SetWindow(WindowPolicy{MaxVersions: 2})
-	src.Append(randomEdges(31, 500, 100, 100)) // v1
-	src.Append(randomEdges(32, 500, 100, 100)) // v2
-	src.AppendEdge(200, 200)                   // v3
-	src.Retire(time.Now())                     // v4
+	src.Append(randomEdges(31, 500, 100, 100))     // v1
+	src.Append(randomEdges(32, 500, 100, 100))     // v2
+	src.Append([]bipartite.Edge{{U: 200, V: 200}}) // v3
+	src.Retire(time.Now())                         // v4
 	snap, v, mark := src.SnapshotWithMark()
 	if mark.Version == 0 {
 		t.Fatalf("expected a non-zero watermark, got %+v", mark)
 	}
 
 	g := NewSharded(8)
+	g.SetWindow(WindowPolicy{MaxVersions: 1})
 	wall := time.Unix(5000, 0).UnixNano()
 	if err := g.RestoreAt(snap, v, mark, wall); err != nil {
 		t.Fatal(err)
+	}
+	// Every restored edge sits in its shard's log under one row stamped at
+	// the snapshot's (version, wall).
+	for i := range g.shards {
+		sh := &g.shards[i]
+		if want := []stampRun{{end: sh.live, ver: v, at: wall}}; sh.live > 0 && !slices.Equal(sh.runs, want) {
+			t.Fatalf("shard %d: rows %+v, want %+v", i, sh.runs, want)
+		}
 	}
 	if g.Version() != v {
 		t.Fatalf("restored version = %d, want %d", g.Version(), v)
@@ -422,15 +432,44 @@ func TestRestoreAtAdoptsMarkAndStamps(t *testing.T) {
 	}
 	// Restored edges are stamped at the snapshot version: a version-age
 	// window that still covers v retires nothing.
-	g.SetWindow(WindowPolicy{MaxVersions: 1})
 	if res := g.Retire(time.Now()); res.Removed != 0 {
 		t.Fatalf("retire after restore removed %d edges (stamps should sit at the snapshot version)", res.Removed)
 	}
 	// Advance two versions: now everything restored is out of the window.
-	g.AppendEdge(300, 300)
-	g.AppendEdge(301, 301)
+	g.Append([]bipartite.Edge{{U: 300, V: 300}})
+	g.Append([]bipartite.Edge{{U: 301, V: 301}})
 	if res := g.Retire(time.Now()); res.Removed != snap.NumEdges()+1 {
 		t.Fatalf("retire removed %d, want the %d restored edges plus one", res.Removed, snap.NumEdges()+1)
+	}
+}
+
+// TestSetWindowOnlyOnAFreshGraph pins that a window is chosen when the graph
+// is made: once a graph has appended, restored a snapshot or captured one,
+// SetWindow panics.
+func TestSetWindowOnlyOnAFreshGraph(t *testing.T) {
+	src := New()
+	src.Append([]bipartite.Edge{{U: 1, V: 1}})
+	snap, v := src.Snapshot()
+	for _, tc := range []struct {
+		after string
+		use   func(g *Graph) error
+	}{
+		{"Append", func(g *Graph) error { g.Append([]bipartite.Edge{{U: 2, V: 2}}); return nil }},
+		{"RestoreAt", func(g *Graph) error { return g.RestoreAt(snap, v, WindowMark{}, 0) }},
+		{"Snapshot", func(g *Graph) error { g.Snapshot(); return nil }},
+	} {
+		g := New()
+		if err := tc.use(g); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetWindow after %s did not panic", tc.after)
+				}
+			}()
+			g.SetWindow(WindowPolicy{MaxEdges: 1})
+		}()
 	}
 }
 
