@@ -28,11 +28,11 @@ type Arena struct {
 	keep      scratch.Stamps // merchant keep-set for cross-section builds
 	dedup     scratch.Stamps // input user dedup for cross-section builds
 	edges     []Edge         // local-id edge buffer for scatter builds
-	userOff   []int
-	merchOff  []int
+	userOff   []uint32
+	merchOff  []uint32
 	userAdj   []uint32
 	merchAdj  []uint32
-	cur       []int // per-row scatter cursors / row counts
+	cur       []uint32 // per-row scatter cursors / row counts
 	g         Graph
 	sub       Subgraph
 }
@@ -96,13 +96,13 @@ func (g *Graph) InducedByEdgeIDsArena(a *Arena, ids []int) *Subgraph {
 		}
 		lu := int(a.users.get(u))
 		if lu != prevLU {
-			uoff[lu] = pos
+			uoff[lu] = uint32(pos)
 			prevLU = lu
 		}
 		uadj[pos] = a.merchants.get(g.UserAdjAt(i))
 	}
 	nu := len(a.users.ids)
-	uoff[nu] = len(ids)
+	uoff[nu] = uint32(len(ids))
 	return a.finish(g, nu)
 }
 
@@ -117,11 +117,11 @@ func (g *Graph) InducedByUsersArena(a *Arena, userIDs []uint32) *Subgraph {
 	uoff := scratch.Grow(&a.userOff, nu+1)
 	uoff[0] = 0
 	for l, pu := range a.users.ids {
-		uoff[l+1] = uoff[l] + g.UserDegree(pu)
+		uoff[l+1] = uoff[l] + uint32(g.UserDegree(pu))
 	}
 	// Selected users keep all their edges: rows copy whole parent rows, and
 	// merchant ids are assigned first-seen in that same visit order.
-	uadj := scratch.Grow(&a.userAdj, uoff[nu])
+	uadj := scratch.Grow(&a.userAdj, int(uoff[nu]))
 	pos := 0
 	for _, pu := range a.users.ids {
 		for _, pv := range g.UserNeighbors(pu) {
@@ -209,7 +209,7 @@ func (a *Arena) finish(parent *Graph, nu int) *Subgraph {
 	// ascending; the CSR invariant wants strictly sorted rows. Sort each
 	// row in place, then compact duplicates out (w trails i, so writes
 	// never clobber unread input).
-	w := 0
+	w := uint32(0)
 	start := uoff[0]
 	for u := 0; u < nu; u++ {
 		end := uoff[u+1]
@@ -235,7 +235,7 @@ func (a *Arena) finish(parent *Graph, nu int) *Subgraph {
 	for v := 1; v <= nm; v++ {
 		moff[v] += moff[v-1]
 	}
-	madj := scratch.Grow(&a.merchAdj, w)
+	madj := scratch.Grow(&a.merchAdj, int(w))
 	cur := scratch.GrowZero(&a.cur, nm)
 	for u := 0; u < nu; u++ {
 		for i := uoff[u]; i < uoff[u+1]; i++ {

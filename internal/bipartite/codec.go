@@ -4,8 +4,9 @@ package bipartite
 // list, which re-sorts into CSR on read, this codec writes the dual-CSR
 // arrays verbatim behind a versioned header and a
 // trailing CRC32C, so loading a snapshot is a streamed copy plus an O(|E|)
-// validation pass — no O(|E| log |E|) rebuild at boot. The layout is
-// little-endian throughout:
+// validation pass — no O(|E| log |E|) rebuild at boot. Offsets are uint32
+// in memory and uint64 on disk, so the format outlives the in-memory width.
+// The layout is little-endian throughout:
 //
 //	uint32 magic        csrMagic
 //	uint32 format       csrFormatVersion
@@ -32,7 +33,7 @@ const (
 
 	// codecChunk bounds the scratch buffer (in array entries) the codec
 	// streams arrays through, and the allocation growth step on read — a
-	// corrupt header claiming 2^50 edges fails with ErrUnexpectedEOF after
+	// corrupt header claiming 2^31 edges fails with ErrUnexpectedEOF after
 	// reading the real file, instead of attempting one giant allocation.
 	codecChunk = 1 << 15
 )
@@ -45,12 +46,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // binary snapshot format. The output is a canonical function of the graph:
 // two graphs with the same sizes and edge set encode byte-identically.
 func WriteCSR(w io.Writer, g *Graph) error {
-	cw := &crcWriter{w: w, buf: make([]byte, 8*codecChunk)}
+	nu, nm, ne := uint64(g.NumUsers()), uint64(g.NumMerchants()), uint64(g.NumEdges())
+	cw := &crcWriter{w: w, buf: make([]byte, scratchBytes(nu, nm, ne))}
 	cw.u32(csrMagic)
 	cw.u32(csrFormatVersion)
-	cw.u64(uint64(g.NumUsers()))
-	cw.u64(uint64(g.NumMerchants()))
-	cw.u64(uint64(g.NumEdges()))
+	cw.u64(nu)
+	cw.u64(nm)
+	cw.u64(ne)
 	cw.offsets(g.userOff, g.NumUsers()+1)
 	cw.adjacency(g.userAdj)
 	cw.offsets(g.merchOff, g.NumMerchants()+1)
@@ -66,7 +68,7 @@ func WriteCSR(w io.Writer, g *Graph) error {
 // ReadCSR parses a snapshot written by WriteCSR, verifying the checksum and
 // the CSR invariants before returning the graph.
 func ReadCSR(r io.Reader) (*Graph, error) {
-	cr := &crcReader{r: r, buf: make([]byte, 8*codecChunk)}
+	cr := &crcReader{r: r}
 	if magic := cr.u32(); cr.err == nil && magic != csrMagic {
 		return nil, fmt.Errorf("bipartite: bad CSR snapshot magic %#x", magic)
 	}
@@ -79,14 +81,21 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 	if cr.err == nil && (numUsers > uint64(MaxNodeID)+1 || numMerchants > uint64(MaxNodeID)+1) {
 		return nil, fmt.Errorf("bipartite: CSR snapshot declares %d users / %d merchants, beyond the id space", numUsers, numMerchants)
 	}
+	if cr.err == nil {
+		if err := checkEdges(numEdges); err != nil {
+			return nil, fmt.Errorf("bipartite: CSR snapshot declares too many edges: %w", err)
+		}
+	}
 	if cr.err == nil && numEdges > math.MaxInt {
-		// int(numEdges) would go negative and read no adjacency at all.
+		// On a 32-bit platform int(numEdges) would go negative and read no
+		// adjacency at all.
 		return nil, fmt.Errorf("bipartite: CSR snapshot declares %d edges, beyond an int", numEdges)
 	}
+	cr.buf = make([]byte, scratchBytes(numUsers, numMerchants, numEdges))
 	g := &Graph{
-		userOff:  cr.offsets(int(numUsers) + 1),
+		userOff:  cr.offsets(int(numUsers)+1, uint32(numEdges)),
 		userAdj:  cr.adjacency(int(numEdges)),
-		merchOff: cr.offsets(int(numMerchants) + 1),
+		merchOff: cr.offsets(int(numMerchants)+1, uint32(numEdges)),
 		merchAdj: cr.adjacency(int(numEdges)),
 	}
 	sum := cr.sum
@@ -101,6 +110,14 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("bipartite: CSR snapshot failed validation: %w", err)
 	}
 	return g, nil
+}
+
+// scratchBytes sizes the codec's scratch buffer to the largest array a graph
+// of these sizes streams through it, and at most 8*codecChunk bytes: a graph
+// of a few edges needs a few bytes, not the full chunk.
+func scratchBytes(numUsers, numMerchants, numEdges uint64) int {
+	need := max(8*(max(numUsers, numMerchants)+1), 4*numEdges)
+	return int(min(need, 8*codecChunk))
 }
 
 // crcWriter streams fixed-width values through a scratch buffer, folding
@@ -145,7 +162,7 @@ func (c *crcWriter) u64(v uint64) {
 // offsets writes exactly n entries of off as uint64, padding with zeros when
 // the slice is shorter (a zero-value graph has nil offset arrays but still
 // round-trips as the canonical empty layout).
-func (c *crcWriter) offsets(off []int, n int) {
+func (c *crcWriter) offsets(off []uint32, n int) {
 	for base := 0; base < n; base += codecChunk {
 		end := min(base+codecChunk, n)
 		buf := c.buf[:8*(end-base)]
@@ -214,13 +231,15 @@ func (c *crcReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// offsets reads n uint64 entries into an int slice, growing chunk by chunk
+// offsets reads n uint64 entries into a uint32 slice, growing chunk by chunk
 // so a corrupt length fails on EOF before committing to one huge allocation.
-func (c *crcReader) offsets(n int) []int {
+// An entry past numEdges is an error: no valid offset exceeds the edge count,
+// so narrowing the ones that pass loses nothing.
+func (c *crcReader) offsets(n int, numEdges uint32) []uint32 {
 	if c.err != nil || n <= 0 {
 		return nil
 	}
-	out := make([]int, 0, min(n, codecChunk))
+	out := make([]uint32, 0, min(n, codecChunk))
 	for base := 0; base < n && c.err == nil; base += codecChunk {
 		end := min(base+codecChunk, n)
 		buf := c.buf[:8*(end-base)]
@@ -229,7 +248,12 @@ func (c *crcReader) offsets(n int) []int {
 			return nil
 		}
 		for i := 0; i < end-base; i++ {
-			out = append(out, int(binary.LittleEndian.Uint64(buf[8*i:])))
+			v := binary.LittleEndian.Uint64(buf[8*i:])
+			if v > uint64(numEdges) {
+				c.err = fmt.Errorf("offset %d past the %d edges", v, numEdges)
+				return nil
+			}
+			out = append(out, uint32(v))
 		}
 	}
 	return out

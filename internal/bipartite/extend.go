@@ -102,7 +102,8 @@ func cmpMerchantMajor(a, b Edge) int {
 // naming an edge absent from prev is ignored, and an edge appearing in both
 // lists ends up present — that is exactly the expire-then-reobserve lifecycle
 // the stream layer produces between two snapshots. prev is never modified;
-// inserts and deletes are read, not retained.
+// inserts and deletes are read, not retained. It panics if prev's edges plus
+// the distinct inserts could exceed MaxEdges.
 func (b *ExtendBuilder) ExtendDelta(prev *Graph, inserts, deletes []Edge, numUsers, numMerchants int) *Graph {
 	return b.extendDelta(prev, inserts, deletes, numUsers, numMerchants, transposeDenominator)
 }
@@ -137,7 +138,7 @@ func (b *ExtendBuilder) extendDelta(prev *Graph, inserts, deletes []Edge, numUse
 	// (vdel). The merchant side applies exactly those, sorted merchant-major,
 	// so both CSR directions describe the same edge set, unless sorting them
 	// would cost more than transposing the new user side outright.
-	var moff []int
+	var moff []uint32
 	var madj []uint32
 	if denom == 0 || len(b.vd)+len(b.vdel) <= len(uadj)/denom {
 		slices.SortFunc(b.vd, cmpMerchantMajor)
@@ -174,18 +175,19 @@ func sortDedupInto(buf *[]Edge, edges []Edge) []Edge {
 // block-copied from prev (offsets shifted by the running net insertion
 // count), rows with inserts or deletes are three-stream merged. Net inserts
 // are collected into b.vd, net deletes into b.vdel.
-func (b *ExtendBuilder) mergeUserSide(prev *Graph, ud, dd []Edge, numUsers int) ([]int, []uint32) {
+func (b *ExtendBuilder) mergeUserSide(prev *Graph, ud, dd []Edge, numUsers int) ([]uint32, []uint32) {
 	prevNU := prev.NumUsers()
 	prevE := prev.NumEdges()
-	uoff := make([]int, numUsers+1)
+	mustFitEdges(uint64(prevE) + uint64(len(ud)))
+	uoff := make([]uint32, numUsers+1)
 	uadj := make([]uint32, prevE+len(ud))
 	vd := b.vd[:0]
 	vdel := b.vdel[:0]
 
-	w := 0  // write cursor into uadj
-	u := 0  // next row to lay out
-	di := 0 // cursor into ud
-	ki := 0 // cursor into dd
+	w := uint32(0) // write cursor into uadj
+	u := 0         // next row to lay out
+	di := 0        // cursor into ud
+	ki := 0        // cursor into dd
 	for di < len(ud) || ki < len(dd) {
 		au := numUsers // next affected row
 		if di < len(ud) {
@@ -196,7 +198,9 @@ func (b *ExtendBuilder) mergeUserSide(prev *Graph, ud, dd []Edge, numUsers int) 
 		}
 		if u < au && u < prevNU {
 			// Bulk-copy the untouched rows [u, min(au, prevNU)): one memcpy
-			// for the adjacency, shifted offsets for the rows.
+			// for the adjacency, shifted offsets for the rows. The shift is
+			// negative when deletes outnumber inserts so far; uint32
+			// arithmetic wraps, and each shifted offset lands back in range.
 			end := min(au, prevNU)
 			lo, hi := prev.userOff[u], prev.userOff[end]
 			copy(uadj[w:], prev.userAdj[lo:hi])
@@ -277,13 +281,13 @@ func (b *ExtendBuilder) mergeUserSide(prev *Graph, ud, dd []Edge, numUsers int) 
 		u = au + 1
 	}
 	if u < prevNU { // untouched tail of prev
-		lo := prev.userOff[u]
-		copy(uadj[w:], prev.userAdj[lo:prevE])
-		shift := w - lo
+		lo, hi := prev.userOff[u], prev.userOff[prevNU]
+		copy(uadj[w:], prev.userAdj[lo:hi])
+		shift := w - lo // wraps when negative, as above
 		for i := u; i < prevNU; i++ {
 			uoff[i] = prev.userOff[i] + shift
 		}
-		w += prevE - lo
+		w += hi - lo
 		u = prevNU
 	}
 	for ; u <= numUsers; u++ {
@@ -299,13 +303,13 @@ func (b *ExtendBuilder) mergeUserSide(prev *Graph, ud, dd []Edge, numUsers int) 
 // (the user-side merge computed the net effect), so neither list can collide
 // with the other; the wantEdges cross-check catches any desync between the
 // two directions.
-func mergeMerchantSide(prev *Graph, vd, vdel []Edge, numMerchants, wantEdges int) ([]int, []uint32) {
+func mergeMerchantSide(prev *Graph, vd, vdel []Edge, numMerchants, wantEdges int) ([]uint32, []uint32) {
 	prevNM := prev.NumMerchants()
 	prevE := prev.NumEdges()
-	moff := make([]int, numMerchants+1)
+	moff := make([]uint32, numMerchants+1)
 	madj := make([]uint32, prevE+len(vd))
 
-	w := 0
+	w := uint32(0)
 	v := 0
 	di := 0
 	ki := 0
@@ -321,7 +325,7 @@ func mergeMerchantSide(prev *Graph, vd, vdel []Edge, numMerchants, wantEdges int
 			end := min(av, prevNM)
 			lo, hi := prev.merchOff[v], prev.merchOff[end]
 			copy(madj[w:], prev.merchAdj[lo:hi])
-			shift := w - lo
+			shift := w - lo // wraps when negative, as in mergeUserSide
 			for i := v; i < end; i++ {
 				moff[i] = prev.merchOff[i] + shift
 			}
@@ -365,19 +369,19 @@ func mergeMerchantSide(prev *Graph, vd, vdel []Edge, numMerchants, wantEdges int
 		v = av + 1
 	}
 	if v < prevNM {
-		lo := prev.merchOff[v]
-		copy(madj[w:], prev.merchAdj[lo:prevE])
+		lo, hi := prev.merchOff[v], prev.merchOff[prevNM]
+		copy(madj[w:], prev.merchAdj[lo:hi])
 		shift := w - lo
 		for i := v; i < prevNM; i++ {
 			moff[i] = prev.merchOff[i] + shift
 		}
-		w += prevE - lo
+		w += hi - lo
 		v = prevNM
 	}
 	for ; v <= numMerchants; v++ {
 		moff[v] = w
 	}
-	if w != wantEdges {
+	if int(w) != wantEdges {
 		panic(fmt.Sprintf("bipartite: extend desync: user side has %d edges, merchant side %d", wantEdges, w))
 	}
 	return moff, madj[:w]
@@ -394,8 +398,8 @@ const transposeDenominator = 32
 // transpose lays out the merchant-major direction of a user-major CSR by
 // counting: O(|E| + numMerchants), no sort. Users are visited in order, so
 // every merchant row comes out sorted.
-func transpose(uoff []int, uadj []uint32, numMerchants int) ([]int, []uint32) {
-	moff := make([]int, numMerchants+1)
+func transpose(uoff, uadj []uint32, numMerchants int) ([]uint32, []uint32) {
+	moff := make([]uint32, numMerchants+1)
 	for _, v := range uadj {
 		moff[v+1]++
 	}
@@ -418,7 +422,7 @@ func transpose(uoff []int, uadj []uint32, numMerchants int) ([]int, []uint32) {
 // Rebuild constructs the graph from a complete edge list, exactly as
 // Builder.Build would: the stream's first snapshot, which has no previous
 // graph to merge into. edges is sorted in place and not retained, so callers
-// may hand in a reusable scratch buffer.
+// may hand in a reusable scratch buffer. Like Build it panics past MaxEdges.
 func (b *ExtendBuilder) Rebuild(numUsers, numMerchants int, edges []Edge) *Graph {
 	for _, e := range edges {
 		numUsers = max(numUsers, int(e.U)+1)

@@ -9,7 +9,9 @@
 package bipartite
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -22,12 +24,35 @@ type Edge struct {
 
 // Graph is an immutable bipartite graph in dual-CSR form. Build one with a
 // Builder or one of the reader functions in io.go. The zero value is an empty
-// graph.
+// graph. Offsets are uint32, 4 bytes per node, so a graph holds at most
+// MaxEdges edges.
 type Graph struct {
-	userOff  []int    // len NumUsers+1; userAdj[userOff[u]:userOff[u+1]] are u's merchants
+	userOff  []uint32 // len NumUsers+1; userAdj[userOff[u]:userOff[u+1]] are u's merchants
 	userAdj  []uint32 // merchant ids, sorted within each user's range
-	merchOff []int    // len NumMerchants+1
+	merchOff []uint32 // len NumMerchants+1
 	merchAdj []uint32 // user ids, sorted within each merchant's range
+}
+
+// MaxEdges is the most edges a Graph holds: the largest value its uint32
+// offsets reach. Reaching it would take 32 GB of edges.
+const MaxEdges = math.MaxUint32
+
+// ErrTooManyEdges reports an edge count past MaxEdges.
+var ErrTooManyEdges = errors.New("bipartite: more than 2^32-1 edges, the limit of 32-bit CSR offsets")
+
+// checkEdges returns ErrTooManyEdges if n edges do not fit in a Graph.
+func checkEdges(n uint64) error {
+	if n > MaxEdges {
+		return fmt.Errorf("%w: %d", ErrTooManyEdges, n)
+	}
+	return nil
+}
+
+// mustFitEdges is checkEdges for the builders that have no error return.
+func mustFitEdges(n uint64) {
+	if err := checkEdges(n); err != nil {
+		panic(err.Error())
+	}
 }
 
 // NumUsers returns |U|, the number of user (PIN) nodes.
@@ -53,10 +78,10 @@ func (g *Graph) NumNodes() int { return g.NumUsers() + g.NumMerchants() }
 func (g *Graph) NumEdges() int { return len(g.userAdj) }
 
 // UserDegree returns the degree of user u.
-func (g *Graph) UserDegree(u uint32) int { return g.userOff[u+1] - g.userOff[u] }
+func (g *Graph) UserDegree(u uint32) int { return int(g.userOff[u+1] - g.userOff[u]) }
 
 // MerchantDegree returns the degree of merchant v.
-func (g *Graph) MerchantDegree(v uint32) int { return g.merchOff[v+1] - g.merchOff[v] }
+func (g *Graph) MerchantDegree(v uint32) int { return int(g.merchOff[v+1] - g.merchOff[v]) }
 
 // UserNeighbors returns the merchants adjacent to user u as a shared slice.
 // The caller must not modify the returned slice.
@@ -106,7 +131,7 @@ func (g *Graph) EdgeList() []Edge {
 // O(log |U|) per call; samplers that draw many random edges should prefer
 // EdgeList or the sampling package's reservoir helpers.
 func (g *Graph) EdgeAt(i int) Edge {
-	u := sort.Search(len(g.userOff)-1, func(u int) bool { return g.userOff[u+1] > i })
+	u := sort.Search(len(g.userOff)-1, func(u int) bool { return int(g.userOff[u+1]) > i })
 	return Edge{U: uint32(u), V: g.userAdj[i]}
 }
 
@@ -114,7 +139,7 @@ func (g *Graph) EdgeAt(i int) Edge {
 // positions in the user-major adjacency array. Position i within the range
 // denotes the edge (u, UserAdjAt(i)); i is the edge's canonical id.
 func (g *Graph) UserRowRange(u uint32) (start, end int) {
-	return g.userOff[u], g.userOff[u+1]
+	return int(g.userOff[u]), int(g.userOff[u+1])
 }
 
 // UserAdjAt returns the merchant stored at user-major position i.
@@ -123,7 +148,7 @@ func (g *Graph) UserAdjAt(i int) uint32 { return g.userAdj[i] }
 // MerchantRowRange returns the half-open range [start, end) of merchant v's
 // positions in the merchant-major adjacency array.
 func (g *Graph) MerchantRowRange(v uint32) (start, end int) {
-	return g.merchOff[v], g.merchOff[v+1]
+	return int(g.merchOff[v]), int(g.merchOff[v+1])
 }
 
 // MerchantAdjAt returns the user stored at merchant-major position p.
@@ -152,7 +177,7 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func validateCSR(off []int, adj []uint32, otherSide int, name string) error {
+func validateCSR(off []uint32, adj []uint32, otherSide int, name string) error {
 	if len(off) == 0 {
 		if len(adj) != 0 {
 			return fmt.Errorf("bipartite: %s side has adjacency but no offsets", name)
@@ -162,7 +187,7 @@ func validateCSR(off []int, adj []uint32, otherSide int, name string) error {
 	if off[0] != 0 {
 		return fmt.Errorf("bipartite: %s offsets must start at 0, got %d", name, off[0])
 	}
-	if off[len(off)-1] != len(adj) {
+	if int(off[len(off)-1]) != len(adj) {
 		return fmt.Errorf("bipartite: %s offsets end at %d, want %d", name, off[len(off)-1], len(adj))
 	}
 	for i := 1; i < len(off); i++ {
@@ -218,7 +243,8 @@ func (b *Builder) AddEdge(u, v uint32) {
 }
 
 // Build constructs the immutable Graph. The Builder may be reused afterwards;
-// its accumulated edges are consumed.
+// its accumulated edges are consumed. It panics if more than MaxEdges
+// distinct edges were added.
 func (b *Builder) Build() *Graph {
 	g := buildFromEdges(b.numUsers, b.numMerchants, b.edges)
 	b.edges = nil
@@ -226,8 +252,12 @@ func (b *Builder) Build() *Graph {
 }
 
 // FromEdges constructs a Graph directly from an edge list with declared side
-// sizes. It returns an error if any edge id is out of range.
+// sizes. It returns an error if any edge id is out of range, and
+// ErrTooManyEdges if the list, duplicates included, holds more than MaxEdges.
 func FromEdges(numUsers, numMerchants int, edges []Edge) (*Graph, error) {
+	if err := checkEdges(uint64(len(edges))); err != nil {
+		return nil, err
+	}
 	for _, e := range edges {
 		if int(e.U) >= numUsers {
 			return nil, fmt.Errorf("bipartite: user id %d out of range [0,%d)", e.U, numUsers)
@@ -240,7 +270,7 @@ func FromEdges(numUsers, numMerchants int, edges []Edge) (*Graph, error) {
 }
 
 // buildFromEdges sorts, dedups and lays out both CSR directions. It takes
-// ownership of edges.
+// ownership of edges, and panics if more than MaxEdges remain.
 func buildFromEdges(numUsers, numMerchants int, edges []Edge) *Graph {
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].U != edges[j].U {
@@ -256,9 +286,10 @@ func buildFromEdges(numUsers, numMerchants int, edges []Edge) *Graph {
 		}
 	}
 	edges = dedup
+	mustFitEdges(uint64(len(edges)))
 
 	// Sorted user-major, the edges' merchants are the user rows in order.
-	uoff := make([]int, numUsers+1)
+	uoff := make([]uint32, numUsers+1)
 	uadj := make([]uint32, len(edges))
 	for i, e := range edges {
 		uoff[e.U+1]++

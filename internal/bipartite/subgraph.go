@@ -28,9 +28,9 @@ func (s *Subgraph) ParentMerchant(v uint32) uint32 { return s.MerchantIDs[v] }
 func (s *Subgraph) Detach() *Subgraph {
 	return &Subgraph{
 		Graph: &Graph{
-			userOff:  append([]int(nil), s.userOff...),
+			userOff:  append([]uint32(nil), s.userOff...),
 			userAdj:  append([]uint32(nil), s.userAdj...),
-			merchOff: append([]int(nil), s.merchOff...),
+			merchOff: append([]uint32(nil), s.merchOff...),
 			merchAdj: append([]uint32(nil), s.merchAdj...),
 		},
 		UserIDs:     append([]uint32(nil), s.UserIDs...),

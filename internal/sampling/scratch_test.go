@@ -3,9 +3,11 @@ package sampling
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ensemfdet/internal/bipartite"
+	"ensemfdet/internal/datagen"
 )
 
 // snapshotSubgraph deep-copies the parts of a subgraph a later arena build
@@ -81,3 +83,39 @@ func TestSampleIntoFallsBackForUnknownMethods(t *testing.T) {
 		t.Errorf("fallback did not delegate to Method.Sample: %v", sg)
 	}
 }
+
+// induceGraph is the parent the induce benchmarks draw from: Dataset #1 at
+// scale 0.25, seed 7, the graph the benchmark's serve_incremental workload
+// detects on. Generated once per process.
+var induceGraph = sync.OnceValues(func() (*bipartite.Graph, error) {
+	ds, err := datagen.GeneratePreset(datagen.Dataset1, 0.25, 7)
+	if err != nil {
+		return nil, err
+	}
+	return ds.Graph, nil
+})
+
+// benchmarkInduce reports what one ensemble worker pays for its first
+// sample of a detect: a fresh Scratch draws an S = 0.1 sample under m and
+// induces its subgraph. B/op is the scratch the worker grows from empty:
+// the arena's parent-sized id remap tables and the sample-sized CSR arrays.
+func benchmarkInduce(b *testing.B, m Method) {
+	g, err := induceGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SampleInto(m, g, 0.1, rng, new(Scratch))
+	}
+}
+
+func BenchmarkInduceRES(b *testing.B) { benchmarkInduce(b, RandomEdge{}) }
+
+func BenchmarkInduceONSMerchant(b *testing.B) {
+	benchmarkInduce(b, OneSideNode{Side: bipartite.MerchantSide})
+}
+
+func BenchmarkInduceTNS(b *testing.B) { benchmarkInduce(b, TwoSideNode{}) }

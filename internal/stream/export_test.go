@@ -4,19 +4,23 @@ import "fmt"
 
 // checkRuns verifies every shard's run table against its log: rows are
 // non-empty and sorted by end, the last row ends at the log's end, and every
-// row has been stamped. Call it with no append in flight.
+// row has been stamped. A graph without a window must hold no log, no rows
+// and a zero mark. Call it with no append in flight.
 func checkRuns(g *Graph) error {
 	for i := range g.shards {
-		if err := g.shards[i].checkRuns(); err != nil {
+		if err := g.shards[i].checkRuns(g.window.Enabled()); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (s *shard) checkRuns() error {
+func (s *shard) checkRuns(logged bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !logged && (len(s.entries) > 0 || len(s.runs) > 0 || s.snapMark != 0) {
+		return fmt.Errorf("no window, yet %d log entries, %d run rows, mark %d", len(s.entries), len(s.runs), s.snapMark)
+	}
 	lo := 0
 	for j, r := range s.runs {
 		if r.end <= lo {

@@ -652,33 +652,44 @@ func residentBytes(edges []bipartite.Edge, batch, shards, captureAt int, w Windo
 	return float64(heapInUse()-base) / float64(len(edges)), g
 }
 
-// TestCapturedStreamHoldsOneCopy pins that an unwindowed stream keeps the
-// edges a capture absorbed once, in the captured CSR, and not again in its
-// shard logs: 1<<20 edges captured at 3/4 stay under 15 resident bytes per
-// live edge (the log held a second copy at 19). A windowed stream ages edges
-// by their log stamps, so its twin keeps every live edge in the log.
+// TestCapturedStreamHoldsOneCopy pins that an unwindowed stream keeps every
+// edge once: the edges a capture absorbed in the captured CSR, and the edges
+// appended since as keys of the shard pending sets, with no shard log at
+// all. 1<<20 edges captured at 3/4 stay under 11 resident bytes per live
+// edge (a log of the post-capture edges held them twice at 15, and a log of
+// every edge at 19). A windowed stream ages edges by their log stamps, so
+// its twin keeps every live edge in the log.
 func TestCapturedStreamHoldsOneCopy(t *testing.T) {
 	edges := residentEdges()
-	logged := func(g *Graph) int {
-		n := 0
+	count := func(g *Graph) (logged, rows, pending int) {
 		for i := range g.shards {
-			n += len(g.shards[i].entries)
+			sh := &g.shards[i]
+			logged += len(sh.entries)
+			rows += len(sh.runs)
+			pending += sh.pending.Len()
 		}
-		return n
+		return logged, rows, pending
 	}
 	for _, shards := range []int{1, 2} {
 		perEdge, g := residentBytes(edges, 128, shards, 3*len(edges)/4, WindowPolicy{})
-		if perEdge >= 15 {
-			t.Errorf("shards=%d: %.2f resident bytes per live edge after a capture, want < 15", shards, perEdge)
+		if perEdge >= 11 {
+			t.Errorf("shards=%d: %.2f resident bytes per live edge after a capture, want < 11", shards, perEdge)
 		}
-		if n := logged(g); n != len(edges)/4 {
-			t.Errorf("shards=%d: the logs hold %d edges, want the %d appended since the capture", shards, n, len(edges)/4)
+		if logged, rows, pending := count(g); logged != 0 || rows != 0 || pending != len(edges)/4 {
+			t.Errorf("shards=%d: %d log entries, %d run rows and %d pending keys, want 0, 0 and the %d appended since the capture",
+				shards, logged, rows, pending, len(edges)/4)
+		}
+		if err := checkRuns(g); err != nil {
+			t.Errorf("shards=%d: %v", shards, err)
 		}
 		t.Logf("shards=%d: %.2f bytes per live edge", shards, perEdge)
 	}
 	perEdge, g := residentBytes(edges, 128, 2, 3*len(edges)/4, WindowPolicy{MaxEdges: len(edges)})
-	if n := logged(g); n != len(edges) {
-		t.Errorf("windowed: the logs hold %d edges, want all %d", n, len(edges))
+	if logged, _, pending := count(g); logged != len(edges) || pending != len(edges)/4 {
+		t.Errorf("windowed: the logs hold %d edges and the pending sets %d keys, want all %d and %d", logged, pending, len(edges), len(edges)/4)
+	}
+	if err := checkRuns(g); err != nil {
+		t.Errorf("windowed: %v", err)
 	}
 	t.Logf("windowed, shards=2: %.2f bytes per live edge", perEdge)
 }

@@ -5,52 +5,53 @@
 //
 // The paper's ensemble (and every algorithm in this repository) works on an
 // immutable dual-CSR Graph. A production ingest path cannot rebuild that CSR
-// per purchase, so Graph keeps the edges since the last snapshot as a
-// deduplicated edge log, materializes CSR snapshots lazily, caching one
+// per purchase, so Graph keeps the edges since the last snapshot in
+// per-shard dedup sets, materializes CSR snapshots lazily, caching one
 // snapshot per version, and keeps the edges a snapshot absorbed in that
 // snapshot's CSR alone.
 //
 // # Sharded ingest
 //
-// The log is split into P shards partitioning the user-id space (an edge
+// The graph is split into P shards partitioning the user-id space (an edge
 // lives in the shard of its user, selected by the id's low bits so dense,
-// growing id ranges stay balanced). Each shard has its own lock, dedup sets,
-// and append-ordered edge log, so concurrent producers writing different
-// shards never contend. A single monotonic version survives the split: every
-// batch that adds at least one edge bumps one atomic counter, and appends
-// run under the read half of a commit lock whose write half lets the
-// snapshot path capture a consistent cut — an edge is visible to a capture
-// iff its batch's version bump is. A shard log is a plain edge array plus a
-// run table: each batch that adds edges to a shard appends one stamp row
-// covering the entries it appended, carrying the version and wall time the
-// batch committed as. An edge costs 8 bytes and a (batch, shard) run 24 more,
-// and the rows are what the window policy (window.go) ages edges by.
+// growing id ranges stay balanced). Each shard has its own lock and dedup
+// sets, so concurrent producers writing different shards never contend. A
+// single monotonic version survives the split: every batch that adds at
+// least one edge bumps one atomic counter, and appends run under the read
+// half of a commit lock whose write half lets the snapshot path capture a
+// consistent cut — an edge is visible to a capture iff its batch's version
+// bump is. Only a windowed graph keeps a shard log: a plain edge array in
+// append order plus a run table, where each batch that adds edges to a shard
+// appends one stamp row covering the entries it appended, carrying the
+// version and wall time the batch committed as. An edge costs 8 bytes and a
+// (batch, shard) run 24 more, and the rows are what the window policy
+// (window.go) ages edges by.
 //
 // # Incremental snapshots with deletions
 //
-// Each shard remembers how much of its log the latest captured snapshot has
-// seen (a per-shard baseline mark), and removals collect the edges they take
-// from below those marks into a pending-deletes list. A snapshot capture
-// therefore yields exactly the delta since the previous snapshot — the
-// inserted suffix of every shard log plus the pending deletes — and hands
-// both to bipartite.ExtendBuilder.ExtendDelta, which merges them into the
-// previous CSR. Only the first capture, with no previous CSR to merge into,
-// sorts its edges from scratch. Shard logs are append-only between removals,
-// and removals rewrite survivors into fresh backing arrays, so captured log
-// views stay immutable while producers keep appending behind them. The built
-// snapshot is published through an atomic pointer under the single-flight
-// build lock, so a slow store can never stall ingest.
+// Each shard's pending set holds the edges appended since the latest
+// capture, and removals collect the edges they take from below it (from the
+// captured snapshot) into a pending-deletes list. A snapshot capture
+// therefore yields exactly the delta since the previous snapshot — the keys
+// of every shard's pending set plus the pending deletes — and hands both to
+// bipartite.ExtendBuilder.ExtendDelta, which sorts them and merges them into
+// the previous CSR. Only the first capture, with no previous CSR to merge
+// into, sorts its edges from scratch. A capture gives each shard a fresh set
+// and reads the old ones after it releases the commit lock, so producers
+// keep appending while the build runs. The built snapshot is published
+// through an atomic pointer under the single-flight build lock, so a slow
+// store can never stall ingest.
 //
 // # One resident copy
 //
-// Without a window policy nothing reads a log entry once a capture has
-// absorbed it, so a capture drops every shard's log: each shard starts an
-// empty log at a zero mark, and the captured views keep the old arrays only
-// until the build is done with them. The edges below the marks then live
-// only in the base (below), which is what Remove deletes them from. A window
-// needs every live edge's stamp in append order, so a windowed capture keeps
-// the whole log. Whether a graph has a window is fixed at birth (SetWindow
-// runs on a fresh graph only), so a dropped log is never needed again.
+// Without a window policy nothing reads an edge's append order or stamp, so
+// a shard keeps no log: an edge appended since the last capture lives once,
+// as a key of its shard's pending set, and one a capture absorbed lives only
+// in the base (below), which is what Remove deletes it from. A window needs
+// every live edge's stamp in append order, so a windowed shard logs every
+// live edge, below its baseline mark (in the captured snapshot) and past it
+// (pending). Whether a graph has a window is fixed at birth (SetWindow runs
+// on a fresh graph only), so an unwindowed graph never needs a log.
 //
 // # Deduplication against the captured snapshot
 //
@@ -173,12 +174,10 @@ type Graph struct {
 	// the built CSR alone, with no lock, since both answer alike.
 	base atomic.Pointer[edgeBase]
 
-	buildMu  sync.Mutex               // single-flights cold snapshot builds
-	snap     atomic.Pointer[snapshot] // published under buildMu, read lock-free
-	ext      *bipartite.ExtendBuilder // build arena, guarded by buildMu
-	logRefs  [][]bipartite.Edge       // capture scratch, guarded by buildMu
-	insStart []int                    // capture scratch: per-shard baseline marks
-	edgeBuf  []bipartite.Edge         // insert concat scratch, guarded by buildMu
+	buildMu sync.Mutex               // single-flights cold snapshot builds
+	snap    atomic.Pointer[snapshot] // published under buildMu, read lock-free
+	ext     *bipartite.ExtendBuilder // build arena, guarded by buildMu
+	edgeBuf []bipartite.Edge         // insert scratch, guarded by buildMu
 
 	deltaBuilds  atomic.Uint64
 	fullBuilds   atomic.Uint64
@@ -196,32 +195,31 @@ type Graph struct {
 	histLimit int
 }
 
-// shard is one user-range partition of the edge log. The padding keeps hot
+// shard is one user-range partition of the graph. The padding keeps hot
 // shard headers on distinct cache lines so uncontended shards stay
 // uncontended at the hardware level too.
 type shard struct {
 	mu sync.Mutex
-	// pending holds the keys of entries[snapMark:], the edges appended since
-	// the last capture. removed holds the keys retire passes and Remove took
-	// from below snapMark since then: this shard's part of pendingDel, as a
-	// set. Both are written under the shard lock and the commit lock's write
-	// half moves them into the base at a capture.
+	// pending holds the keys of the edges appended since the last capture
+	// (entries[snapMark:] on a windowed graph): the next capture's inserts.
+	// removed holds the keys retire passes and Remove took from below the
+	// capture since then: this shard's part of pendingDel, as a set. Both are
+	// written under the shard lock and the commit lock's write half moves
+	// them into the base at a capture.
 	pending u64set.Set
 	removed u64set.Set
-	// entries is the log in append order: every live edge of the shard on a
-	// windowed graph, only those appended since the last capture otherwise.
-	// Appends only ever append; removals rewrite survivors into a fresh
-	// backing array (preserving order), and a capture that drops the log
-	// starts a new one, so a captured view of the old array stays immutable.
+	// entries is the log of a windowed graph: every live edge of the shard,
+	// in append order. Appends only ever append, and removals rewrite
+	// survivors into a fresh backing array, preserving order. A graph without
+	// a window keeps no log, and entries stays nil.
 	entries []bipartite.Edge
 	// runs stamps entries: one row per (batch, shard), sorted by end, the
-	// last row ending at len(entries). See stampRun.
+	// last row ending at len(entries). See stampRun. Nil without a window.
 	runs []stampRun
-	// snapMark is the baseline boundary: entries below it are contained in
-	// the latest captured snapshot, entries at or past it are the pending
-	// insert delta. Written by captures, removals and RestoreAt (commitMu
-	// write half). Always 0 on a graph without a window, whose captures drop
-	// the log.
+	// snapMark is the baseline boundary of a windowed log: entries below it
+	// are contained in the latest captured snapshot, entries at or past it
+	// are pending. Written by captures, removals and RestoreAt (commitMu
+	// write half). Always 0 on a graph without a window, which has no log.
 	snapMark int
 	// live counts the shard's live edges, in the log or in the base alone.
 	live int
@@ -434,8 +432,9 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 	var res AppendResult
 	var maxU, maxV int64 = -1, -1
 	base := g.base.Load()
+	logged := g.window.Enabled()
 	if len(g.shards) == 1 {
-		row, added := g.shards[0].appendRun(0, base, edges, &res.Duplicates, &maxU, &maxV)
+		row, added := g.shards[0].appendRun(0, base, logged, edges, &res.Duplicates, &maxU, &maxV)
 		res.Added = added
 		if res.Added > 0 {
 			g.numEdges.Add(int64(res.Added))
@@ -458,7 +457,7 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 			if len(run) == 0 {
 				continue
 			}
-			row, n := g.shards[si].appendRun(si, base, run, &res.Duplicates, &maxU, &maxV)
+			row, n := g.shards[si].appendRun(si, base, logged, run, &res.Duplicates, &maxU, &maxV)
 			if n > 0 {
 				g.numEdges.Add(int64(n))
 				res.Added += n
@@ -493,16 +492,18 @@ func (g *Graph) Append(edges []bipartite.Edge) AppendResult {
 
 // commitBatch finishes an adding batch while still under the commit read
 // lock: it bumps the version, stamps the batch's reserved run rows with it
-// (the stamp callback re-takes each touched shard lock; the row indices are
-// stable because retires need the commit write half), and tees the batch
-// into the journal. A snapshot capture at version V therefore never completes
+// on a windowed graph (the stamp callback re-takes each touched shard lock;
+// the row indices are stable because retires need the commit write half),
+// and tees the batch into the journal. A snapshot capture at version V therefore never completes
 // before every batch with version ≤ V has been stamped and offered to the
 // log, which is what makes truncating the log at a snapshot's watermark safe.
 // The full pre-dedup batch is journaled; replay re-deduplicates.
 func (g *Graph) commitBatch(res *AppendResult, edges []bipartite.Edge, stamp func(ver uint64)) {
 	res.Version = g.version.Add(1)
 	atomicMaxU64(&g.lastIngest, res.Version)
-	stamp(res.Version)
+	if g.window.Enabled() {
+		stamp(res.Version)
+	}
 	g.histRecord(res.Version, edges, res.Added, 0)
 	if g.journal != nil {
 		if err := g.journal.AppendEdges(res.Version, edges); err != nil {
@@ -512,14 +513,15 @@ func (g *Graph) commitBatch(res *AppendResult, edges []bipartite.Edge, stamp fun
 }
 
 // appendRun folds a slice of edges, all belonging to this shard si (or the
-// only shard), into the shard under its lock. An edge is a duplicate if the
-// base holds it and this shard has not removed it since, or if it is already
-// pending; otherwise it joins pending and the log. If any entry was added it
-// reserves the run-table row covering them and returns that row's index with
-// the number added; the batch commit stamps the row once the batch's version
-// is known. The index stays valid because concurrent batches only append rows
-// past it and retire passes exclude appends entirely.
-func (s *shard) appendRun(si int, base *edgeBase, run []bipartite.Edge, dups *int, maxU, maxV *int64) (row, added int) {
+// only shard), into the shard under its lock, and returns the number added.
+// An edge is a duplicate if the base holds it and this shard has not removed
+// it since, or if it is already pending; otherwise it joins pending, and, if
+// logged (the graph has a window), the log. A logged run that added entries
+// reserves the run-table row covering them and returns that row's index; the
+// batch commit stamps the row once the batch's version is known. The index
+// stays valid because concurrent batches only append rows past it and retire
+// passes exclude appends entirely.
+func (s *shard) appendRun(si int, base *edgeBase, logged bool, run []bipartite.Edge, dups *int, maxU, maxV *int64) (row, added int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range run {
@@ -528,7 +530,9 @@ func (s *shard) appendRun(si int, base *edgeBase, run []bipartite.Edge, dups *in
 			*dups++
 			continue
 		}
-		s.entries = append(s.entries, e)
+		if logged {
+			s.entries = append(s.entries, e)
+		}
 		added++
 		if int64(e.U) > *maxU {
 			*maxU = int64(e.U)
@@ -537,10 +541,10 @@ func (s *shard) appendRun(si int, base *edgeBase, run []bipartite.Edge, dups *in
 			*maxV = int64(e.V)
 		}
 	}
-	if added == 0 {
-		return 0, 0
-	}
 	s.live += added
+	if !logged || added == 0 {
+		return 0, added
+	}
 	s.runs = append(s.runs, stampRun{end: len(s.entries)})
 	return len(s.runs) - 1, added
 }
@@ -761,76 +765,65 @@ func (g *Graph) snapshotInternal() *snapshot {
 	return g.publish(g.buildLocked(prev, c), c)
 }
 
-// cut is one capture: version, side sizes, watermark, a view of every shard
-// log with the baseline mark it had before the capture, and the deletes
-// since the previous capture.
+// cut is one capture: version, side sizes, watermark, every shard's pending
+// set (the inserts since the previous capture) and the deletes since then.
 type cut struct {
-	version  uint64
-	nu, nm   int
-	mark     WindowMark
-	logs     [][]bipartite.Edge
-	insStart []int
-	insLen   int
-	dels     []bipartite.Edge
+	version uint64
+	nu, nm  int
+	mark    WindowMark
+	ins     []u64set.Set
+	insLen  int
+	dels    []bipartite.Edge
 }
 
 // captureLocked takes a consistent cut. It is also the baseline advance —
 // each shard's snapMark moves to its log end, the delete list is taken, and
 // the shard dedup sets move into the interim base — because the build that
 // follows always completes and publishes, making this cut the next delta's
-// starting point. With no window policy the capture also drops the logs and
-// their stamp rows: every entry is now below the mark and in the base, which
-// Remove deletes from, so each shard starts an empty log at mark 0. Logs are
-// append-only between removals (and removals rewrite into fresh arrays), so
-// the captured views stay immutable after release and the hold time is
-// O(shards), not O(edges) — ingest stalls for the capture, never for the
-// build. Requires buildMu and the commit write lock; prev is the published
-// snapshot the build will extend.
+// starting point. The moved pending sets are the cut's inserts: nothing
+// writes them again, so the build reads them after the commit lock is
+// released, and the hold time is O(shards), not O(edges) — ingest stalls for
+// the capture, never for the build. Requires buildMu and the commit write
+// lock; prev is the published snapshot the build will extend.
 func (g *Graph) captureLocked(prev *snapshot) cut {
 	c := cut{
-		version:  g.version.Load(),
-		nu:       int(g.numUsers.Load()),
-		nm:       int(g.numMerchants.Load()),
-		mark:     WindowMark{Version: g.markVer.Load(), Wall: g.markWall.Load()},
-		logs:     scratch.Grow(&g.logRefs, len(g.shards)),
-		insStart: scratch.Grow(&g.insStart, len(g.shards)),
+		version: g.version.Load(),
+		nu:      int(g.numUsers.Load()),
+		nm:      int(g.numMerchants.Load()),
+		mark:    WindowMark{Version: g.markVer.Load(), Wall: g.markWall.Load()},
+		ins:     make([]u64set.Set, len(g.shards)),
+		dels:    g.pendingDel,
 	}
-	interim := &edgeBase{pending: make([]u64set.Set, len(g.shards)), removed: make([]u64set.Set, len(g.shards))}
+	interim := &edgeBase{pending: c.ins, removed: make([]u64set.Set, len(g.shards))}
 	if prev != nil {
 		interim.csr = prev.g
 	}
-	drop := !g.window.Enabled()
 	for i := range g.shards {
 		sh := &g.shards[i]
-		c.logs[i] = sh.entries
-		c.insStart[i] = sh.snapMark
-		c.insLen += len(sh.entries) - sh.snapMark
-		if drop {
-			sh.entries, sh.runs, sh.snapMark = nil, nil, 0
-		} else {
-			sh.snapMark = len(sh.entries)
-		}
+		sh.snapMark = len(sh.entries)
+		c.insLen += sh.pending.Len()
 		// Fresh zero-value sets regrow from the minimum table: a cleared
 		// table would keep its high-water capacity.
-		interim.pending[i], sh.pending = sh.pending, u64set.Set{}
+		c.ins[i], sh.pending = sh.pending, u64set.Set{}
 		interim.removed[i], sh.removed = sh.removed, u64set.Set{}
 	}
 	g.base.Store(interim)
-	c.dels = g.pendingDel
 	g.pendingDel = nil
 	return c
 }
 
 // buildLocked builds the CSR of cut c: merged from prev and the delta, or,
-// for the first capture, sorted from the inserts alone. Requires buildMu,
-// which guards the build scratch.
+// for the first capture, sorted from the inserts alone. The inserts come out
+// of the pending sets in table order; both builds sort them. Requires
+// buildMu, which guards the build scratch.
 func (g *Graph) buildLocked(prev *snapshot, c cut) *bipartite.Graph {
-	defer clear(c.logs) // do not pin shard log arrays beyond the build
 	//ensemfdet:nondeterministic-ok build timing feeds the *BuildNs metrics, never the built graph
 	start := time.Now()
 	ins := scratch.Grow(&g.edgeBuf, c.insLen)[:0]
-	for i, log := range c.logs {
-		ins = append(ins, log[c.insStart[i]:]...)
+	for i := range c.ins {
+		for k := range c.ins[i].Keys() {
+			ins = append(ins, bipartite.Edge{U: uint32(k >> 32), V: uint32(k)})
+		}
 	}
 	// A large delta grows the concat scratch to its size; steady-state
 	// captures need a fraction of that. Release oversized buffers rather

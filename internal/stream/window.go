@@ -258,27 +258,28 @@ func (g *Graph) countCutLocked(maxEdges int, verCut uint64, wallCut int64) (uint
 // replay reproduces retirements through it without re-evaluating any policy,
 // and it doubles as an explicit unlearning API (a chargeback, a data-removal
 // request). The window watermark does not move — Remove expresses "these
-// edges", not "everything this old". It scans the shard logs. Without a
-// window the logs hold only what was appended since the last capture, and an
-// edge only the base holds is answered from the base, so a Remove costs
-// O(edges + log since the last capture); a windowed log holds every live
-// edge.
+// edges", not "everything this old". A windowed graph scans its shard logs,
+// which hold every live edge; one without a window looks each edge up in its
+// shard's pending set and then in the base. The tombstone lists the removed
+// edges in log or request order, which replay through Remove ignores.
 func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 	if len(edges) == 0 {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
 	}
-	keys := make(map[uint64]struct{}, len(edges))
-	for _, e := range edges {
-		keys[edgeKey(e)] = struct{}{}
-	}
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
-	removed := g.removeMatchingLocked(func(_ stampRun, e bipartite.Edge) bool {
-		_, dead := keys[edgeKey(e)]
-		return dead
-	})
-	if !g.window.Enabled() {
-		removed = g.removeFromBaseLocked(edges, removed)
+	var removed []bipartite.Edge
+	if g.window.Enabled() {
+		keys := make(map[uint64]struct{}, len(edges))
+		for _, e := range edges {
+			keys[edgeKey(e)] = struct{}{}
+		}
+		removed = g.removeMatchingLocked(func(_ stampRun, e bipartite.Edge) bool {
+			_, dead := keys[edgeKey(e)]
+			return dead
+		})
+	} else {
+		removed = g.removeUnloggedLocked(edges)
 	}
 	if len(removed) == 0 {
 		return RetireResult{Version: g.version.Load(), Mark: g.mark()}
@@ -286,21 +287,25 @@ func (g *Graph) Remove(edges []bipartite.Edge) RetireResult {
 	return g.commitRemovalLocked(removed)
 }
 
-// removeFromBaseLocked deletes the edges that only the base holds, those
-// a capture dropped from the logs of a graph without a window, and appends
-// them to removed. Each joins
-// its shard's removed set and pendingDel, as a retire's deletes from below
-// the mark do. Requires the commit write lock.
-func (g *Graph) removeFromBaseLocked(edges, removed []bipartite.Edge) []bipartite.Edge {
+// removeUnloggedLocked deletes edges from a graph without a window, in one
+// pass: a pending edge leaves its shard's pending set, and one only the base
+// holds joins the removed set and pendingDel, as a retire's deletes from
+// below the mark do. Returns the removed edges; requires the commit write lock.
+func (g *Graph) removeUnloggedLocked(edges []bipartite.Edge) []bipartite.Edge {
+	var removed []bipartite.Edge
 	base := g.base.Load()
 	for _, e := range edges {
 		si := int(e.U & g.mask)
 		sh := &g.shards[si]
 		k := edgeKey(e)
 		sh.mu.Lock()
-		if base.has(si, e, k) && sh.removed.Add(k) {
-			sh.live--
+		hit := sh.pending.Delete(k)
+		if !hit && base.has(si, e, k) && sh.removed.Add(k) {
+			hit = true
 			g.pendingDel = append(g.pendingDel, e)
+		}
+		if hit {
+			sh.live--
 			removed = append(removed, e)
 		}
 		sh.mu.Unlock()
@@ -308,11 +313,11 @@ func (g *Graph) removeFromBaseLocked(edges, removed []bipartite.Edge) []bipartit
 	return removed
 }
 
-// removeMatchingLocked deletes every log entry dead() selects, given the
-// entry's edge and the run row stamping it: the entry leaves its shard log
-// (survivors and their rows are rewritten into fresh backing arrays,
-// preserving order, so captured views of the old array stay immutable, and
-// rows left empty are dropped). An entry at or past the shard's baseline mark
+// removeMatchingLocked deletes every log entry of a windowed graph that
+// dead() selects, given the entry's edge and the run row stamping it: the
+// entry leaves its shard log (survivors and their rows are rewritten into
+// fresh backing arrays sized to them, preserving order, and rows left empty
+// are dropped). An entry at or past the shard's baseline mark
 // leaves the pending set; one below it, which the base and the previous
 // snapshot contain, joins the removed set and pendingDel for the next delta
 // build. Requires the commit write lock; returns the removed edges for

@@ -1,7 +1,7 @@
 // Package u64set implements an open-addressing set of uint64 keys with
 // deletion support, built for the stream layer's per-shard dedup sets: the
-// edges appended since the last snapshot capture, and the edges removed
-// from below it.
+// edges appended since the last snapshot capture, which the next capture
+// reads back as its inserts, and the edges removed from below it.
 //
 // The previous implementation was a map[uint64]struct{} per shard — Go's
 // generic map spends ~48 bytes per resident entry (bucket headers, tophash
@@ -12,6 +12,8 @@
 // backward-shift compaction (no tombstones, so churn never degrades probe
 // lengths), and the whole structure is two allocations regardless of size.
 package u64set
+
+import "iter"
 
 // emptySlot marks a free table slot. Key 0 itself is legal — it is tracked
 // out of band by hasZero — so the sentinel never collides with user data.
@@ -79,6 +81,31 @@ func (s *Set) Add(k uint64) bool {
 			s.slots[i] = k
 			s.n++
 			return true
+		}
+	}
+}
+
+// Len returns the number of keys in the set.
+func (s *Set) Len() int {
+	if s.hasZero {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// Keys yields every key in the set once: the zero key first, then the table
+// in slot order. The order follows the set's history, not the keys alone, so
+// a caller that needs a canonical order sorts. The set must not change while
+// the sequence runs.
+func (s *Set) Keys() iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		if s.hasZero && !yield(0) {
+			return
+		}
+		for _, k := range s.slots {
+			if k != emptySlot && !yield(k) {
+				return
+			}
 		}
 	}
 }

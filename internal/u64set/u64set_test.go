@@ -3,6 +3,7 @@ package u64set
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -16,14 +17,6 @@ func New(hint int) *Set {
 		s.grow(tableFor(hint))
 	}
 	return s
-}
-
-// Len returns the number of keys in the set.
-func (s *Set) Len() int {
-	if s.hasZero {
-		return s.n + 1
-	}
-	return s.n
 }
 
 // Bytes returns the resident size of the table backing array — the number
@@ -66,15 +59,33 @@ func TestZeroKey(t *testing.T) {
 	}
 }
 
+// checkKeys fails unless Keys yields exactly the model's keys, each once.
+func checkKeys(t *testing.T, step int, s *Set, model map[uint64]struct{}) {
+	t.Helper()
+	got := slices.Sorted(s.Keys())
+	want := make([]uint64, 0, len(model))
+	for k := range model {
+		want = append(want, k)
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: Keys = %v, model %v", step, got, want)
+	}
+}
+
 // TestMatchesMapModel drives the set with a random Add/Delete/Has workload
 // and checks every answer against a map — including heavy delete churn over
 // a small key space, the access pattern backward-shift deletion must survive.
+// Keys is compared with the model after every grow, periodically, and at
+// the end; the space includes the zero key.
 func TestMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := New(0)
 	model := map[uint64]struct{}{}
 	const space = 512 // small space → constant collisions and re-adds
+	grows, zeroSeen := 0, false
 	for i := 0; i < 200_000; i++ {
+		table := len(s.slots)
 		k := uint64(rng.Intn(space))
 		if rng.Intn(3) == 0 {
 			_, had := model[k]
@@ -96,11 +107,23 @@ func TestMatchesMapModel(t *testing.T) {
 		if s.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", i, s.Len(), len(model))
 		}
+		_, zero := model[0]
+		zeroSeen = zeroSeen || zero
+		if len(s.slots) != table {
+			grows++
+			checkKeys(t, i, s, model)
+		} else if i%1000 == 0 {
+			checkKeys(t, i, s, model)
+		}
 	}
 	for k := range model {
 		if !s.Has(k) {
 			t.Fatalf("final sweep: missing %d", k)
 		}
+	}
+	checkKeys(t, -1, s, model)
+	if grows == 0 || !zeroSeen {
+		t.Fatalf("the workload never grew the table (%d grows) or never held the zero key (%v)", grows, zeroSeen)
 	}
 }
 
