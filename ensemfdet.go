@@ -294,16 +294,6 @@ type StreamGraph = stream.Graph
 // shard count near GOMAXPROCS.
 func NewStreamGraph() *StreamGraph { return stream.New() }
 
-// MaxStreamShards is the largest accepted ingest shard count.
-const MaxStreamShards = stream.MaxShards
-
-// NewStreamGraphSharded returns an empty dynamic graph with the given ingest
-// shard count, rounded up to a power of two and clamped to
-// [1, MaxStreamShards]; 0 selects the default. Shard count trades write
-// concurrency against per-batch scan overhead and is invisible to readers:
-// snapshots — and therefore votes — are byte-identical across shard counts.
-func NewStreamGraphSharded(shards int) *StreamGraph { return stream.NewSharded(shards) }
-
 // WindowPolicy bounds a StreamGraph's live edge set for unbounded streams:
 // by wall-clock age, by version age, by live edge count, or any combination.
 // Install with StreamGraph.SetWindow before the first append; apply with

@@ -231,59 +231,43 @@ func extendDeltaChained(t *testing.T, layout string, denom int) {
 	}
 }
 
-// TestExtendDeltaAllocs pins that the deletion-aware path keeps the
-// allocation contract of the insert-only path: a warm builder's allocs/op is
-// independent of base graph size even when every build carries deletes.
-func TestExtendDeltaAllocs(t *testing.T) {
-	counts := make(map[int]float64)
-	for _, sz := range []int{1 << 12, 1 << 15} {
-		rng := rand.New(rand.NewSource(3))
-		edges := make([]Edge, 0, sz)
-		for i := 0; i < sz; i++ {
-			edges = append(edges, Edge{U: uint32(rng.Intn(sz / 8)), V: uint32(rng.Intn(sz / 8))})
-		}
-		prev := mustFromEdges(t, sz/8, sz/8, edges)
-		b := NewExtendBuilder()
-		inserts := []Edge{{U: 1, V: 2}, {U: 3, V: 4}}
-		deletes := []Edge{prev.EdgeAt(0), prev.EdgeAt(prev.NumEdges() - 1)}
-		b.ExtendDelta(prev, inserts, deletes, 0, 0) // warm the builder's scratch
-		counts[sz] = testing.AllocsPerRun(10, func() {
-			b.ExtendDelta(prev, inserts, deletes, 0, 0)
-		})
-	}
-	if counts[1<<12] != counts[1<<15] {
-		t.Errorf("allocs/op scales with |E|: %v", counts)
-	}
-	if counts[1<<15] > 8 {
-		t.Errorf("delta extend allocates %v times, want <= 8", counts[1<<15])
-	}
-}
-
 // TestExtendAllocsIndependentOfGraphSize pins the delta path's allocation
 // contract: for a fixed delta, a warm builder allocates the same number of
 // times no matter how large the base graph is (the four output arrays plus
-// nothing per |E|).
+// nothing per |E|), whether the delta only inserts or also deletes.
 func TestExtendAllocsIndependentOfGraphSize(t *testing.T) {
-	counts := make(map[int]float64)
-	for _, sz := range []int{1 << 12, 1 << 15} {
-		rng := rand.New(rand.NewSource(3))
-		edges := make([]Edge, 0, sz)
-		for i := 0; i < sz; i++ {
-			edges = append(edges, Edge{U: uint32(rng.Intn(sz / 8)), V: uint32(rng.Intn(sz / 8))})
-		}
-		prev := mustFromEdges(t, sz/8, sz/8, edges)
-		b := NewExtendBuilder()
-		delta := []Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}, {U: 7, V: 8}}
-		b.ExtendDelta(prev, delta, nil, 0, 0) // warm the builder's scratch
-		counts[sz] = testing.AllocsPerRun(10, func() {
-			b.ExtendDelta(prev, delta, nil, 0, 0)
+	for _, c := range []struct {
+		name    string
+		inserts []Edge
+		deletes func(prev *Graph) []Edge
+	}{
+		{"inserts", []Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}, {U: 7, V: 8}}, func(*Graph) []Edge { return nil }},
+		{"deletes", []Edge{{U: 1, V: 2}, {U: 3, V: 4}}, func(prev *Graph) []Edge {
+			return []Edge{prev.EdgeAt(0), prev.EdgeAt(prev.NumEdges() - 1)}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			counts := make(map[int]float64)
+			for _, sz := range []int{1 << 12, 1 << 15} {
+				rng := rand.New(rand.NewSource(3))
+				edges := make([]Edge, 0, sz)
+				for i := 0; i < sz; i++ {
+					edges = append(edges, Edge{U: uint32(rng.Intn(sz / 8)), V: uint32(rng.Intn(sz / 8))})
+				}
+				prev := mustFromEdges(t, sz/8, sz/8, edges)
+				b := NewExtendBuilder()
+				deletes := c.deletes(prev)
+				counts[sz] = testing.AllocsPerRun(10, func() {
+					b.ExtendDelta(prev, c.inserts, deletes, 0, 0)
+				})
+			}
+			if counts[1<<12] != counts[1<<15] {
+				t.Errorf("allocs/op scales with |E|: %v", counts)
+			}
+			if counts[1<<15] > 8 {
+				t.Errorf("delta extend allocates %v times, want <= 8", counts[1<<15])
+			}
 		})
-	}
-	if counts[1<<12] != counts[1<<15] {
-		t.Errorf("allocs/op scales with |E|: %v", counts)
-	}
-	if counts[1<<15] > 8 {
-		t.Errorf("delta extend allocates %v times, want <= 8", counts[1<<15])
 	}
 }
 

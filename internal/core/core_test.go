@@ -3,11 +3,13 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ensemfdet/internal/bipartite"
+	"ensemfdet/internal/datagen"
 	"ensemfdet/internal/sampling"
 )
 
@@ -319,6 +321,58 @@ func TestRunWithEachSampler(t *testing.T) {
 		}
 		if out.Votes.NumSamples != cfg.NumSamples {
 			t.Errorf("%s: NumSamples = %d", m.Name(), out.Votes.NumSamples)
+		}
+	}
+}
+
+// unitGraph is Dataset #1 at the unit-test scale of internal/experiments
+// (0.006 of Table I, seed 99): 2,729 users, 1,376 merchants, 6,078 edges.
+func unitGraph(tb testing.TB) *bipartite.Graph {
+	tb.Helper()
+	ds, err := datagen.GeneratePreset(datagen.Dataset1, 0.006, 99)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds.Graph
+}
+
+// TestRunAllocs pins Algorithm 2's allocations at the paper's S = 0.1 under
+// RES: a run allocates its worker's arena and its outputs once, and then 2
+// times per sample (the sample's rand.Rand and its source), plus the rare
+// regrowth of the worker's scratch, whatever the sample's size.
+// AllocsPerRun runs at GOMAXPROCS 1, so one worker takes every sample.
+// 64-bit builds read 296 and 376, 32-bit builds 295 and 377: the scratch
+// regrows at other sample sizes there.
+func TestRunAllocs(t *testing.T) {
+	g := unitGraph(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // count the code's allocations, not a collection's
+	counts := make(map[int]float64)
+	for _, c := range []struct{ n, want int }{{40, 296}, {80, 377}} {
+		cfg := Config{NumSamples: c.n, SampleRatio: 0.1, Seed: 1}
+		counts[c.n] = testing.AllocsPerRun(2, func() {
+			if _, err := Run(g, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if counts[c.n] > float64(c.want) {
+			t.Errorf("N=%d: Run allocates %v times, want <= %d", c.n, counts[c.n], c.want)
+		}
+	}
+	if extra := counts[80] - counts[40]; extra > 2*40+2 {
+		t.Errorf("40 more samples allocate %v more times, want <= 82: %v", extra, counts)
+	}
+}
+
+// BenchmarkEnsembleN80 is the paper's main setting on the unit graph: RES,
+// N = 80, S = 0.1, with the workers GOMAXPROCS sets.
+func BenchmarkEnsembleN80(b *testing.B) {
+	g := unitGraph(b)
+	cfg := Config{NumSamples: 80, SampleRatio: 0.1, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkClassifyClean measures delta classification across the samplers —
 // the fixed per-run cost an incremental detection pays up front, before any
-// dirty sample re-executes. The CI allocs gate pins allocs/op at zero: the
-// clean-sample path is a bitset probe per sample and must never allocate.
+// dirty sample re-executes. TestClassifyCleanDoesNotAllocate pins it at
+// zero allocations: the clean-sample path is a bitset probe per sample.
 func BenchmarkClassifyClean(b *testing.B) {
 	gb, _ := plantedGraph(13, 300, 60, 1200, 2, 10, 4)
 	delta := DeltaInfo{Users: []uint32{1, 2, 3}, Merchants: []uint32{1, 2}}

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§V) on the synthetic JD.com workload. Each experiment
 // is a named runner producing a structured result that renders to text
-// (tables plus ASCII figures); cmd/repro drives them and bench_test.go wraps
-// each in a testing.B benchmark.
+// (tables plus ASCII figures); cmd/repro drives them, and
+// experiments_test.go runs each at a small scale.
 package experiments
 
 import (

@@ -3,6 +3,7 @@ package fdet
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -395,17 +396,56 @@ func TestDetectDegenerateInputs(t *testing.T) {
 	}
 }
 
-// BenchmarkPeelSingleBlock isolates one greedy peeling round on Dataset #1
-// at the unit-test scale.
-func BenchmarkPeelSingleBlock(b *testing.B) {
+// unitGraph is Dataset #1 at the unit-test scale of internal/experiments
+// (0.006 of Table I, seed 99): 2,729 users, 1,376 merchants, 6,078 edges.
+func unitGraph(tb testing.TB) *bipartite.Graph {
+	tb.Helper()
 	ds, err := datagen.GeneratePreset(datagen.Dataset1, 0.006, 99)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return ds.Graph
+}
+
+// TestDetectAllocs pins what one detection allocates on the unit graph:
+// its scratch, built from empty, and the blocks it returns, a few per block
+// and none per peeled edge. At FixedK 8, 64-bit builds read 75 and 32-bit
+// builds 76, where one scratch slice regrows once more.
+func TestDetectAllocs(t *testing.T) {
+	g := unitGraph(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // count the code's allocations, not a collection's
+	for _, c := range []struct{ k, want int }{{4, 70}, {8, 76}} {
+		allocs := testing.AllocsPerRun(5, func() {
+			Detect(g, Options{FixedK: c.k})
+		})
+		if allocs > float64(c.want) {
+			t.Errorf("FixedK %d: Detect allocates %v times, want <= %d", c.k, allocs, c.want)
+		}
+	}
+}
+
+// BenchmarkPeelSingleBlock isolates one greedy peeling round on the unit
+// graph.
+func BenchmarkPeelSingleBlock(b *testing.B) {
+	g := unitGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := Peel(ds.Graph, density.Default()); !ok {
+		if _, ok := Peel(g, density.Default()); !ok {
 			b.Fatal("no block")
 		}
 	}
+}
+
+// BenchmarkPeelOnce peels the unit graph into 8 blocks; rounds/op is
+// constant for the graph, so ns/op over rounds/op is the cost of one
+// peeling round inside a multi-block detection.
+func BenchmarkPeelOnce(b *testing.B) {
+	g := unitGraph(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		rounds += len(Detect(g, Options{FixedK: 8}).Scores)
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

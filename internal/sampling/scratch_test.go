@@ -3,6 +3,7 @@ package sampling
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -64,6 +65,31 @@ func TestSampleIntoAcrossGraphs(t *testing.T) {
 					t.Errorf("%s on %v: reuse across graphs changed the draw", m.Name(), g)
 				}
 			}
+		}
+	}
+}
+
+// TestSampleIntoDoesNotAllocate pins the ensemble worker's per-sample path:
+// once a scratch has grown to the largest of a run of draws, drawing them
+// again allocates nothing, under every sampler. The parent is Dataset #1 at
+// scale 0.006, seed 99, drawn at the paper's S = 0.1.
+func TestSampleIntoDoesNotAllocate(t *testing.T) {
+	ds, err := datagen.GeneratePreset(datagen.Dataset1, 0.006, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // count the code's allocations, not a collection's
+	for _, m := range All() {
+		s := new(Scratch)
+		allocs := testing.AllocsPerRun(10, func() {
+			rng.Seed(1)
+			for range 8 {
+				SampleInto(m, ds.Graph, 0.1, rng, s)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: 8 warm draws allocate %v times, want 0", m.Name(), allocs)
 		}
 	}
 }

@@ -900,11 +900,6 @@ func (e *Engine) kickRetire() {
 	}()
 }
 
-// Source exposes the underlying dynamic graph. Ingest should go through
-// Ingest, which enforces the node-id bound; Source is for reads and for
-// callers that have validated ids themselves.
-func (e *Engine) Source() Snapshotter { return e.src }
-
 // Ingest appends a batch of edges after enforcing the configured node-id
 // bound. It is the single ingest chokepoint: ids are dense indices, so
 // graph and vote memory scale with the largest id, and one edge naming id

@@ -2,9 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -518,5 +520,49 @@ func TestRestoreNilSnapshot(t *testing.T) {
 	}
 	if g.Version() != 0 || g.Stats().NumEdges != 0 {
 		t.Fatalf("nil restore changed the graph: %+v", g.Stats())
+	}
+}
+
+// BenchmarkIngestParallel measures multi-producer append throughput: 8
+// goroutines append an identical sequence of 256-edge batches into a
+// 1-shard graph, whose one lock every producer takes, and into an 8-shard
+// graph. The shards=8 over shards=1 edges/s ratio is what sharding buys on
+// the host's cores. The sequence cycles a 2^22-pair space, so memory stays
+// bounded at any b.N.
+func BenchmarkIngestParallel(b *testing.B) {
+	const (
+		workers = 8
+		batch   = 256
+	)
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			g := NewSharded(shards)
+			var next atomic.Int64
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]bipartite.Edge, batch)
+					for {
+						i := next.Add(1) - 1
+						if i >= int64(b.N) {
+							return
+						}
+						// The same pairs whatever the scheduling, so both
+						// shard counts ingest the same workload.
+						for j := range buf {
+							h := ((uint64(i)*batch+uint64(j))&(1<<22-1) + 1) * 0x9E3779B97F4A7C15
+							buf[j] = bipartite.Edge{U: uint32(h>>40) & (1<<20 - 1), V: uint32(h>>20) & (1<<18 - 1)}
+						}
+						g.Append(buf)
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "edges/s")
+		})
 	}
 }
